@@ -13,6 +13,7 @@ log2(err_{M/2} / err_M); blowup rows record the overflow magnitude instead.
 
 import cmath
 import csv
+import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -98,6 +99,8 @@ def nonlinear_square(alpha: float, mu) -> ProblemSpec:
     def exact(t: float) -> complex:
         return cmath.exp(mu * t)
 
+    # Newton evaluates rhs several times at one t; the forcing is computed once.
+    @functools.lru_cache(maxsize=1)
     def forcing(t: float) -> complex:
         if t == 0.0:
             return 1.0 + 0.0j  # the mu * t^(1-alpha) * E term vanishes at 0

@@ -88,8 +88,6 @@ def apply_discrete_caputo(table: WeightTable, traj: Trajectory, n: int) -> compl
     if table.n_max < n:
         raise ValueError(f"weight table covers n <= {table.n_max}, needs {n}")
     u = traj.values
-    buf = np.empty(n + 1 + k, dtype=complex)
-    np.multiply(table.omega[n::-1], u[: n + 1], out=buf[: n + 1])
-    np.multiply(np.asarray(table.starting[n]), u[:k], out=buf[n + 1 :])
-    acc = complex(math.fsum(buf.real.tolist()), math.fsum(buf.imag.tolist()))
+    w = np.concatenate((table.omega[n::-1], table.starting[n]))
+    acc = compensated_cdot(w, np.concatenate((u[: n + 1], u[:k])))
     return acc * traj.grid.dt ** (-table.alpha)

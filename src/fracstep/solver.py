@@ -3,9 +3,9 @@
 Each step solves omega_0 u_n - dt^alpha f(t_n, u_n) + H_n = 0 with H_n the
 weighted history sum.  Linear right-hand sides f = lam*u + g(t) use the closed
 form; everything else runs a damped-free Newton iteration.  History evaluation
-is a direct O(n) convolution per step (O(M^2) per solve), accumulated with a
-compensated sum so repeated runs are bit-identical and the roundoff floor
-stays near machine precision even at M ~ 2000.
+is a direct O(n) convolution per step (O(M^2) per solve): one BLAS product of
+the reversed weights with the (re, im) pairs of the past samples, in ordinary
+rounded summation: runs repeat exactly on one machine, but may differ across BLAS builds.
 """
 
 import math
@@ -35,8 +35,8 @@ _PIVOT_REL_TOL = 1e-14
 class NewtonDivergedError(RuntimeError):
     """Newton iteration failed to converge within the iteration budget."""
 
-    def __init__(self, step, residual):
-        super().__init__(f"Newton diverged at step {step}: |residual| = {residual:.3e}")
+    def __init__(self, step, t, residual):
+        super().__init__(f"Newton diverged at step {step} (t = {t!r}): |residual| = {residual:.3e}")
         self.step = step
         self.residual = residual
 
@@ -102,7 +102,7 @@ class SolveReport:
         return None if self.errors is None else float(self.errors[-1])
 
 
-def _newton_step(rhs, rhs_du, t, guess, omega0, ha, H, cfg):
+def _newton_step(rhs, rhs_du, n, t, guess, omega0, ha, H, cfg):
     un = guess
     f = rhs(t, un)
     for it in range(1, cfg.max_iter + 1):
@@ -116,13 +116,13 @@ def _newton_step(rhs, rhs_du, t, guess, omega0, ha, H, cfg):
             fu = (rhs(t, un + step) - f) / step
         J = omega0 - ha * fu
         if J == 0:
-            raise NewtonDivergedError(t, abs(F))
+            raise NewtonDivergedError(n, t, abs(F))
         du = -F / J
         un = un + du
         f = rhs(t, un)
         if abs(du) <= cfg.tol * (1.0 + abs(un)):
             return un, it
-    raise NewtonDivergedError(t, abs(omega0 * un - ha * f + H))
+    raise NewtonDivergedError(n, t, abs(omega0 * un - ha * f + H))
 
 
 def bootstrap_starts(problem: ProblemSpec, scheme, grid: GridSpec, newton: Optional[NewtonConfig] = None):
@@ -202,19 +202,18 @@ def solve(
     iters = np.zeros(grid.M + 1, dtype=int)
     max_abs = max(abs(complex(v)) for v in u[:min(n_start, grid.M + 1)])
     blowup = max_abs > _BLOWUP_THRESHOLD
-    buf = np.empty(grid.M + k, dtype=complex)
+    rev = np.ascontiguousarray(omega[:0:-1])
+    pairs = u.view(np.float64).reshape(-1, 2)
     rhs = problem.rhs
     for n in range(n_start, grid.M + 1):
-        np.multiply(omega[n:0:-1], u[:n], out=buf[:n])
-        np.multiply(table.starting[n], u[:k], out=buf[n : n + k])
-        seg = buf[: n + k]
-        H = complex(math.fsum(seg.real.tolist()), math.fsum(seg.imag.tolist()))
+        re, im = rev[-n:] @ pairs[:n] + table.starting[n] @ pairs[:k]
+        H = complex(re, im)
         t = n * h
         if linear:
             # rhs(t, 0) = g(t) for the declared linear structure
             un = (ha * rhs(t, 0.0 + 0.0j) - H) / denom
         else:
-            un, iters[n] = _newton_step(rhs, problem.rhs_du, t, u[n - 1], omega0, ha, H, cfg)
+            un, iters[n] = _newton_step(rhs, problem.rhs_du, n, t, u[n - 1], omega0, ha, H, cfg)
         u[n] = un
         a = abs(un)
         if not math.isfinite(a):

@@ -1,6 +1,7 @@
 """Scalar special functions used throughout: real gamma, Mittag-Leffler, binomial series."""
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -37,6 +38,13 @@ def require_finite_complex(z, name: str = "z") -> complex:
     return z
 
 
+@functools.lru_cache(maxsize=64)
+def _mlf_coefficients(alpha: float, beta: float):
+    """(lgamma(alpha*k + beta), exp(-lgamma(alpha*k + beta))) for k = 0.._MLF_MAX_TERMS."""
+    lgs = tuple(math.lgamma(alpha * k + beta) for k in range(_MLF_MAX_TERMS + 1))
+    return lgs, tuple(math.exp(-lg) for lg in lgs)
+
+
 def mittag_leffler(alpha: float, beta: float, z) -> complex:
     """E_{alpha,beta}(z) = sum_k z^k / Gamma(alpha*k + beta).
 
@@ -64,8 +72,8 @@ def mittag_leffler(alpha: float, beta: float, z) -> complex:
     arg_z = cmath.phase(z)
     zpow = complex(1.0)
     log_form = False
-    for k in range(_MLF_MAX_TERMS + 1):
-        lg = math.lgamma(alpha * k + beta)
+    lgs, inv_gammas = _mlf_coefficients(float(alpha), float(beta))
+    for k, lg in enumerate(lgs):
         if log_form:
             expo = k * log_abs_z - lg
             if expo > 700.0:
@@ -74,7 +82,7 @@ def mittag_leffler(alpha: float, beta: float, z) -> complex:
                 )
             term = cmath.exp(complex(expo, k * arg_z))
         else:
-            term = zpow * math.exp(-lg) if lg < 745.0 else complex(0.0)
+            term = zpow * inv_gammas[k] if lg < 745.0 else complex(0.0)
 
         x = term.real
         t = s_re + x

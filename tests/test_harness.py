@@ -25,6 +25,7 @@ from fracstep import (
     run_truncation_study,
     solve,
 )
+from fracstep import harness
 from fracstep.harness import (
     format_complex,
     parse_complex,
@@ -52,6 +53,23 @@ def test_nonlinear_square_jacobian():
     p = nonlinear_square(0.6, 0.5j)
     for u in (0.0, 1.5, 2.0 - 1.0j):
         assert p.rhs_du(0.3, u) == -2.0 * u
+
+
+def test_nonlinear_square_forcing_evaluated_once_per_step(monkeypatch):
+    # Newton calls rhs several times at each t_n; the forcing's
+    # Mittag-Leffler term is computed once per step.
+    calls = []
+    original = harness.mittag_leffler
+
+    def counting(alpha, beta, z):
+        calls.append(z)
+        return original(alpha, beta, z)
+
+    monkeypatch.setattr(harness, "mittag_leffler", counting)
+    M, k = 64, 2
+    report = solve(nonlinear_square(0.5, -1.0), (2, 2), GridSpec(T=1.0, M=M), starting="exact")
+    assert report.newton_iters.sum() > M - k + 1
+    assert len(calls) == M - k + 1
 
 
 @pytest.mark.parametrize("problem", [linear_complex(0.6, -1.0 + 0.5j),

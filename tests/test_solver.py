@@ -21,6 +21,7 @@ from fracstep import (
     solve,
     weight_table,
 )
+from fracstep.operator import compensated_cdot
 
 
 def test_quadratic_scheme_reference_cell():
@@ -93,9 +94,41 @@ def test_pivot_breakdown_detected():
 
 
 def test_newton_divergence_reported():
-    with pytest.raises(NewtonDivergedError):
-        solve(nonlinear_square(0.5, 1.0), (2, 2), GridSpec(T=1.0, M=4),
+    M = 4
+    with pytest.raises(NewtonDivergedError) as info:
+        solve(nonlinear_square(0.5, 1.0), (2, 2), GridSpec(T=1.0, M=M),
               newton=NewtonConfig(tol=1e-13, max_iter=1))
+    step = info.value.step
+    assert isinstance(step, int)
+    assert 2 <= step <= M
+    assert f"step {step} " in str(info.value)
+
+
+def _reference_linear_solve(problem, scheme, grid):
+    """Exact-started closed-form stepping with an exactly rounded history sum."""
+    table = weight_table(scheme, problem.alpha, grid.M)
+    k, h = table.scheme.k, grid.dt
+    ha = h ** problem.alpha
+    denom = table.omega[0] - ha * problem.lam
+    u = np.array([problem.exact(j * h) for j in range(k)] + [0.0] * (grid.M + 1 - k),
+                 dtype=complex)
+    for n in range(k, grid.M + 1):
+        w = np.concatenate((table.omega[n:0:-1], table.starting[n]))
+        H = compensated_cdot(w, np.concatenate((u[:n], u[:k])))
+        u[n] = (ha * problem.rhs(n * h, 0.0) - H) / denom
+    return u
+
+
+@pytest.mark.parametrize("problem, scheme", [
+    (mlf_decay(0.5), (3, 3)),
+    (linear_complex(0.5, -1.0), (2, 1)),
+    (linear_complex(0.3, 2.0 + 1.0j), (3, 2)),
+])
+def test_history_sum_matches_exactly_rounded_reference(problem, scheme):
+    grid = GridSpec(T=1.0, M=2048)
+    got = solve(problem, scheme, grid, starting="exact").trajectory.values
+    ref = _reference_linear_solve(problem, scheme, grid)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_blowup_flagged_not_raised():
