@@ -6,29 +6,26 @@ evaluation offsets), steps implicit one-leg methods built on them, and
 exposes the stability and truncation diagnostics used to validate them.
 """
 
-from .expr import ExprError, ExprEvalError, ExprSyntaxError, evaluate, parse, to_source
+from .expr import ExprError, ExprEvalError, ExprSyntaxError, evaluate, parse
 from .harness import (
     ConfigError,
     ConvergenceRow,
     RunConfig,
     TruncationSample,
-    fit_order,
     linear_complex,
     load_config,
     mlf_decay,
     nonlinear_square,
-    parse_config,
     run_convergence,
     run_truncation_study,
 )
-from .kernel import KernelTable, backward_diff, dbinom_poly, kernel_integral, kernel_table
+from .kernel import KernelTable, backward_diff, kernel_table
 from .operator import GridSpec, Trajectory, apply_discrete_caputo
 from .oracle import (
     PiecewiseInterpolant,
     build_interpolant,
     caputo_monomial,
     oracle_discrete_caputo,
-    piece_layout,
 )
 from .solver import (
     NewtonConfig,
@@ -36,26 +33,21 @@ from .solver import (
     PivotBreakdownError,
     ProblemSpec,
     SolveReport,
-    bootstrap_starts,
     solve,
 )
 from .special import MittagLefflerError, binom_series, gamma_real, mittag_leffler
 from .stability import (
     LocusCurve,
     RegionVerdict,
-    SeriesDiagnostics,
     boundary_locus,
     in_stability_region,
-    phi_at,
-    series_diagnostics,
 )
 from .weights import (
     ALL_SCHEMES,
     SchemeId,
     WeightConsistencyError,
     WeightTable,
-    convolution_weights,
-    starting_weights,
+    piece_layout,
     weight_table,
 )
 
@@ -66,25 +58,25 @@ __all__ = [
     # special functions
     "MittagLefflerError", "mittag_leffler", "gamma_real", "binom_series",
     # kernel integrals
-    "KernelTable", "kernel_table", "kernel_integral", "dbinom_poly", "backward_diff",
+    "KernelTable", "kernel_table", "backward_diff",
     # weights
     "SchemeId", "ALL_SCHEMES", "WeightTable", "WeightConsistencyError",
-    "weight_table", "convolution_weights", "starting_weights",
+    "weight_table", "piece_layout",
     # operator
     "GridSpec", "Trajectory", "apply_discrete_caputo",
     # reference evaluation
-    "PiecewiseInterpolant", "build_interpolant", "piece_layout",
+    "PiecewiseInterpolant", "build_interpolant",
     "oracle_discrete_caputo", "caputo_monomial",
     # time stepping
-    "ProblemSpec", "NewtonConfig", "SolveReport", "solve", "bootstrap_starts",
+    "ProblemSpec", "NewtonConfig", "SolveReport", "solve",
     "NewtonDivergedError", "PivotBreakdownError",
     # stability
-    "LocusCurve", "RegionVerdict", "SeriesDiagnostics",
-    "boundary_locus", "in_stability_region", "series_diagnostics", "phi_at",
+    "LocusCurve", "RegionVerdict",
+    "boundary_locus", "in_stability_region",
     # expressions
-    "parse", "evaluate", "to_source", "ExprError", "ExprSyntaxError", "ExprEvalError",
+    "parse", "evaluate", "ExprError", "ExprSyntaxError", "ExprEvalError",
     # harness
     "mlf_decay", "linear_complex", "nonlinear_square",
     "ConvergenceRow", "run_convergence", "TruncationSample", "run_truncation_study",
-    "fit_order", "RunConfig", "parse_config", "load_config", "ConfigError",
+    "RunConfig", "load_config", "ConfigError",
 ]

@@ -140,7 +140,7 @@ def _cmd_converge(args) -> int:
     cfg = load_config(args.config)
     rows = run_convergence(cfg.problem_for, cfg.schemes, cfg.alphas, cfg.M_list,
                            T=cfg.T, starting=cfg.starting, newton=cfg.newton,
-                           threads=args.threads, hold_first_value=cfg.hold_first_value)
+                           hold_first_value=cfg.hold_first_value)
     _emit(args.output, lambda fh: write_convergence_csv(rows, fh))
     return 0
 
@@ -224,7 +224,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("converge", help="error/rate table over a grid refinement")
     p.add_argument("--config", required=True, help="JSON configuration path")
-    p.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
     p.add_argument("-o", "--output", help="convergence CSV path (default: stdout)")
     p.set_defaults(func=_cmd_converge)
 

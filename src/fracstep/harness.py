@@ -16,7 +16,6 @@ import csv
 import functools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -27,7 +26,7 @@ from .operator import GridSpec, Trajectory, apply_discrete_caputo
 from .oracle import caputo_monomial
 from .solver import NewtonConfig, ProblemSpec, SolveReport, solve
 from .special import mittag_leffler, require_finite_complex
-from .weights import SchemeId, weight_table
+from .weights import SchemeId, _as_scheme, weight_table
 
 __all__ = [
     "ConfigError",
@@ -130,16 +129,6 @@ class ConvergenceRow:
     blowup: bool = False
 
 
-def _endpoint(problem: ProblemSpec, scheme: SchemeId, M: int, T: float,
-              starting: Optional[str], newton: Optional[NewtonConfig],
-              hold_first_value: bool):
-    report = solve(problem, scheme, GridSpec(T=T, M=M), starting=starting, newton=newton,
-                   hold_first_value=hold_first_value)
-    if report.blowup:
-        return report.max_abs_u, True
-    return float(report.errors[-1]), False
-
-
 def run_convergence(
     problem_for: Callable[[float], ProblemSpec],
     schemes: Sequence,
@@ -148,37 +137,23 @@ def run_convergence(
     T: float = 1.0,
     starting: Optional[str] = None,
     newton: Optional[NewtonConfig] = None,
-    threads: int = 1,
     hold_first_value: bool = False,
 ) -> list:
     """Endpoint errors and dyadic rates over the (scheme, alpha, M) lattice.
 
-    Rows are ordered by (scheme, alpha, M) regardless of the executor, so the
-    output is byte-stable for any thread count.
+    Rows keep the caller's order of schemes and alphas; M runs ascending.
     """
-    schemes = [s if isinstance(s, SchemeId) else SchemeId(*s) for s in schemes]
+    schemes = [_as_scheme(s) for s in schemes]
     M_list = sorted(int(M) for M in M_list)
-    if not (isinstance(threads, int) and threads >= 1):
-        raise ConfigError(f"threads must be a positive integer, got {threads!r}")
-    tasks = [(s, float(a), M) for s in schemes for a in alphas for M in M_list]
-
-    def work(task):
-        s, a, M = task
-        return _endpoint(problem_for(a), s, M, T, starting, newton, hold_first_value)
-
-    if threads == 1:
-        results = [work(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, tasks))
-
-    by_key = {t: r for t, r in zip(tasks, results)}
     rows = []
     for s in schemes:
         for a in alphas:
             prev_err = None
             for M in M_list:
-                err, blown = by_key[(s, float(a), M)]
+                report = solve(problem_for(float(a)), s, GridSpec(T=T, M=M), starting=starting,
+                               newton=newton, hold_first_value=hold_first_value)
+                blown = report.blowup
+                err = report.max_abs_u if blown else float(report.errors[-1])
                 rate = None
                 if not blown and prev_err is not None and err > 0.0 and prev_err > 0.0:
                     rate = math.log2(prev_err / err)
@@ -205,7 +180,7 @@ class TruncationSample:
 def run_truncation_study(scheme, alpha: float, degree: int, M_list: Sequence[int],
                          T: float = 1.0) -> list:
     """tau_n = D(t^degree)_n - analytic Caputo value, tracked over M."""
-    s = scheme if isinstance(scheme, SchemeId) else SchemeId(*scheme)
+    s = _as_scheme(scheme)
     if not (isinstance(degree, int) and 0 <= degree <= 6):
         raise ConfigError(f"monomial degree must be an integer in [0, 6], got {degree!r}")
     out = []

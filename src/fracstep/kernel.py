@@ -139,15 +139,19 @@ def kernel_table(alpha: float, q: int, r: int, n_max: int) -> KernelTable:
     q, r = _check_qr(q, r)
     if not (isinstance(n_max, (int, np.integer)) and n_max >= 0):
         raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
-    c = dbinom_poly(q, r)
-    J = _power_moments(alpha, int(n_max))
-    vals = np.zeros(int(n_max) + 1)
+    vals = _kernel_values(dbinom_poly(q, r), _power_moments(alpha, int(n_max)), alpha)
+    vals.flags.writeable = False
+    return KernelTable(alpha=alpha, q=q, r=r, values=vals)
+
+
+def _kernel_values(c, J, alpha):
+    """I_{n,q}^r over the columns of J, from the coefficients c = dbinom_poly(q, r)."""
+    vals = np.zeros(J.shape[1])
     for m, cm in enumerate(c):
         if cm != 0.0:
             vals += cm * J[m]
     vals /= math.gamma(1.0 - alpha)
-    vals.flags.writeable = False
-    return KernelTable(alpha=alpha, q=q, r=r, values=vals)
+    return vals
 
 
 def backward_diff(seq, order: int) -> np.ndarray:

@@ -10,7 +10,7 @@ checked against each other.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -18,12 +18,12 @@ from scipy.special import roots_jacobi
 
 from .operator import GridSpec
 from .special import gamma_real
+from .weights import _as_scheme, piece_layout
 
 __all__ = [
     "caputo_monomial",
     "lagrange_piece_eval",
     "newton_piece_eval",
-    "piece_layout",
     "PiecewiseInterpolant",
     "build_interpolant",
     "oracle_discrete_caputo",
@@ -123,33 +123,6 @@ def _lagrange_derivative(samples, nodes, xs):
     return out
 
 
-def piece_layout(k: int, i: int, n: int):
-    """Piece (q, degree) on each subinterval I_1..I_n of the step-n interpolant.
-
-    Head pieces (degree k-1, interpolating t_0..t_{k-1}) cover I_1..I_{k-i};
-    interior pieces use offset i; tail pieces narrow the offset so the last k+1
-    samples close the composite.  (k, i) = (2, 3) is accepted as the auxiliary
-    interpolant with a single wide head piece; it has no weight list.
-    """
-    if (k, i) == (2, 3):
-        if n < 2:
-            raise ValueError("auxiliary interpolant (2,3) needs n >= 2")
-        return [(2, 2)] + [(1, 2)] * (n - 1)
-    if not 1 <= i <= k <= 3:
-        raise ValueError(f"scheme requires 1 <= i <= k <= 3, got (k={k}, i={i})")
-    if n < k:
-        raise ValueError(f"interpolant at step n requires n >= k, got n={n}, k={k}")
-    layout = []
-    for j in range(1, n + 1):
-        if j <= k - i:
-            layout.append((k - j, k - 1))
-        elif j <= n - i + 1:
-            layout.append((i, k))
-        else:
-            layout.append((n + 1 - j, k))
-    return layout
-
-
 @dataclass(frozen=True)
 class PiecewiseInterpolant:
     """Composite interpolant of samples u_0..u_n for a scheme, one piece per subinterval."""
@@ -172,18 +145,7 @@ class PiecewiseInterpolant:
     def value(self, j: int, s: float) -> complex:
         """P on subinterval I_j at local coordinate s in [0, 1]."""
         q, deg = self.layout[j - 1]
-        if deg == self.k:
-            return lagrange_piece_eval(self.samples, j, q, deg, s)
-        nodes = _check_piece(self.samples, j, q, deg)
-        x = j - 1.0 + s
-        total = 0.0 + 0.0j
-        for node in nodes:
-            basis = 1.0
-            for mm in nodes:
-                if mm != node:
-                    basis *= (x - mm) / (node - mm)
-            total += basis * complex(self.samples[node])
-        return total
+        return lagrange_piece_eval(self.samples, j, q, deg, s)
 
     def derivative(self, j: int, s) -> np.ndarray:
         """dP/ds on subinterval I_j at local coordinates s (array ok)."""
@@ -193,10 +155,8 @@ class PiecewiseInterpolant:
 
 
 def build_interpolant(scheme, grid: GridSpec, samples, n: int) -> PiecewiseInterpolant:
-    try:
-        k, i = scheme.k, scheme.i
-    except AttributeError:
-        k, i = (int(scheme[0]), int(scheme[1]))
+    """Step-n interpolant of a scheme, or of the auxiliary label (2, 3)."""
+    k, i = (2, 3) if scheme == (2, 3) else astuple(_as_scheme(scheme))
     return PiecewiseInterpolant(k=k, i=i, grid=grid, samples=np.asarray(samples), n=int(n))
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .operator import GridSpec, Trajectory
 from .special import require_finite_complex
-from .weights import SchemeId, weight_table
+from .weights import SchemeId, _as_scheme, weight_table
 
 __all__ = [
     "ProblemSpec",
@@ -127,7 +127,7 @@ def _newton_step(rhs, rhs_du, n, t, guess, omega0, ha, H, cfg):
 
 def bootstrap_starts(problem: ProblemSpec, scheme, grid: GridSpec, newton: Optional[NewtonConfig] = None):
     """Starting values u_1..u_{k-1} from the (1,1) scheme on the grid prefix."""
-    scheme = scheme if isinstance(scheme, SchemeId) else SchemeId(*scheme)
+    scheme = _as_scheme(scheme)
     if scheme.k == 1:
         return ()
     prefix = GridSpec(T=grid.dt * (scheme.k - 1), M=scheme.k - 1)
@@ -156,7 +156,7 @@ def solve(
     initial value; it costs one order of accuracy near the origin and is
     never the right choice for new computations.
     """
-    scheme = scheme if isinstance(scheme, SchemeId) else SchemeId(*scheme)
+    scheme = _as_scheme(scheme)
     k, alpha = scheme.k, problem.alpha
     if grid.M < k:
         raise ValueError(f"grid must have at least k = {k} steps, got M = {grid.M}")

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .special import binom_series, require_finite_complex
-from .weights import SchemeId, weight_table
+from .weights import SchemeId, _as_scheme, weight_table
 
 __all__ = [
     "LocusCurve",
@@ -36,10 +36,6 @@ _DEFAULT_TERMS = 6000
 _ON_CURVE_TOL = 1e-12
 _RESOLUTION_FACTOR = 10.0
 _MAX_SAMPLES = 1 << 20
-
-
-def _as_scheme(scheme) -> SchemeId:
-    return scheme if isinstance(scheme, SchemeId) else SchemeId(*scheme)
 
 
 @dataclass(frozen=True)

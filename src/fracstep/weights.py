@@ -6,18 +6,21 @@ pieces, offset i.  The discrete operator at step n is
     D u_n = dt^(-alpha) [ sum_{j<k} w_{n,j} u_j  +  sum_{j<=n} omega_{n-j} u_j ],
 
 and this module produces the omega sequence and the starting rows w_{n,.}
-from kernel-integral tables.  Weight tables are cached per (scheme, alpha
-bit pattern, length) and validated at construction: the weights of every
-step must sum to zero (exactness on constants).
+by integrating the pieces that piece_layout lists against the kernel tables.
+Weight tables are cached per (scheme, alpha bit pattern, length) and
+validated at construction: the weights of every step must sum to zero
+(exactness on constants).
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
+from operator import index
 
 import numpy as np
 
-from .kernel import backward_diff, kernel_table
+from .kernel import _kernel_values, _power_moments, backward_diff, dbinom_poly
 
 __all__ = [
     "SchemeId",
@@ -25,8 +28,7 @@ __all__ = [
     "WeightTable",
     "WeightConsistencyError",
     "weight_table",
-    "convolution_weights",
-    "starting_weights",
+    "piece_layout",
 ]
 
 _CONSISTENCY_TOL = 1e-10
@@ -61,10 +63,10 @@ def _as_scheme(scheme) -> SchemeId:
     if isinstance(scheme, SchemeId):
         return scheme
     try:
-        k, i = scheme
+        k, i = (index(v) for v in scheme)   # integers only: 1.5 must not become 1
     except (TypeError, ValueError):
         raise ValueError(f"not a scheme label: {scheme!r}") from None
-    return SchemeId(int(k), int(i))
+    return SchemeId(k, i)
 
 
 @dataclass(frozen=True)
@@ -93,133 +95,96 @@ class WeightTable:
         return tuple(float(v) for v in self.starting[n])
 
 
+def piece_layout(k: int, i: int, n: int):
+    """Piece (q, degree) on each subinterval I_1..I_n of the step-n interpolant.
+
+    Head pieces (degree k-1, interpolating t_0..t_{k-1}) cover I_1..I_{k-i};
+    interior pieces use offset i; tail pieces narrow the offset so the last k+1
+    samples close the composite.  (k, i) = (2, 3) is accepted as the auxiliary
+    interpolant with a single wide head piece; it has no weight list.
+    """
+    if (k, i) == (2, 3):
+        if n < 2:
+            raise ValueError("auxiliary interpolant (2,3) needs n >= 2")
+        return [(2, 2)] + [(1, 2)] * (n - 1)
+    if not 1 <= i <= k <= 3:
+        raise ValueError(f"scheme requires 1 <= i <= k <= 3, got (k={k}, i={i})")
+    if n < k:
+        raise ValueError(f"interpolant at step n requires n >= k, got n={n}, k={k}")
+    layout = []
+    for j in range(1, n + 1):
+        if j <= k - i:
+            layout.append((k - j, k - 1))
+        elif j <= n - i + 1:
+            layout.append((i, k))
+        else:
+            layout.append((n + 1 - j, k))
+    return layout
+
+
+def _newton_terms(q: int, deg: int):
+    """(r, l, c) with dP/ds = sum d/ds C(s-q+r-1, r) * c * u_{j+q-1-l} for the piece p_{j,q}."""
+    return [(r, l, (-1) ** l * math.comb(r, l)) for r in range(1, deg + 1) for l in range(r + 1)]
+
+
 def _assemble(k: int, i: int, alpha: float, n_max: int):
-    """Raw (omega, starting) arrays from the kernel tables."""
-    kn = max(n_max, 4) + 2
-    tab = {}
-    for (q, r) in ((1, 1), (1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3)):
-        tab[q, r] = kernel_table(alpha, q, r, kn).values
-    I = tab[1, 1]
-    N = n_max
-    ns = np.arange(N + 1)
-    m = np.arange(k, N + 1) if N >= k else np.arange(0)
-    starting = np.zeros((N + 1, k))
+    """Raw (omega, starting) arrays: the Caputo integral of the step-n interpolant.
 
-    if (k, i) == (1, 1):
-        omega = backward_diff(I, 1)[: N + 1]
-        if m.size:
-            starting[k:, 0] = -I[m]
+    The piece (q, deg) on I_j adds c * I^r_q[n-j] to the weight of u_{j+q-1-l}
+    for each Newton term (r, l, c).  The layout at step k holds every kind of
+    piece once: head pieces at fixed j; the interior piece, which fills all
+    other j and so gives a Toeplitz row; and tail pieces at fixed kernel index
+    n-j.  omega is that row, its lags d <= k re-summed over the interior terms
+    that the tail leaves plus the tail's own; a starting column is the head
+    terms minus the interior terms the row assumes at j <= k-i.
+    """
+    layout = piece_layout(k, i, k)
+    n_head = sum(deg < k for _, deg in layout)
+    n_tail = k - n_head - 1
+    q_in = layout[n_head][0]
+    # The batched Gauss rule changes J's last bits with the batch length, so
+    # keep the length the tables have always had; it covers n_max + k - 1.
+    J = _power_moments(alpha, max(n_max, 4) + 2)
+    tables = {}
 
-    elif (k, i) == (2, 1):
-        I21 = tab[1, 2]
-        omega = (backward_diff(I, 1) + backward_diff(I21, 2))[: N + 1]
-        if m.size:
-            starting[k:, 0] = 2.0 * I21[m - 1] - I21[m] - I[m]
-            starting[k:, 1] = -I21[m - 1]
+    @cache
+    def kernel(q, r):
+        # keyed by the kernel polynomial, so equal tables (every I^1_q) cancel exactly
+        c = tuple(dbinom_poly(q, r))
+        if c not in tables:
+            tables[c] = _kernel_values(c, J, alpha)
+        return c
 
-    elif (k, i) == (2, 2):
-        I21, I22 = tab[1, 2], tab[2, 2]
-        d1I = backward_diff(I, 1)
-        d2I22 = backward_diff(I22, 2)
-        omega = np.empty(N + 1)
-        omega[0] = I[0] + I[1] + I21[0] + I22[1]
-        if N >= 1:
-            omega[1] = (I[2] - I[1]) - I[0] + I22[2] - 2.0 * I21[0] - 2.0 * I22[1]
-        if N >= 2:
-            omega[2] = (I[3] - I[2]) + (I22[3] - 2.0 * I22[2] + I22[1]) + I21[0]
-        if N >= 3:
-            omega[3:] = d1I[ns[3:] + 1] + d2I22[ns[3:] + 1]
-        if m.size:
-            starting[k:, 0] = -(I21[m + 1] - I21[m]) + I22[m]
-            starting[k:, 1] = -I21[m]
+    # tail terms reach lags d <= k; without a tail the Toeplitz row already is the pieces' sum
+    lags = [Counter() for _ in range(min(k, n_max) + 1 if n_tail else 0)]  # {(kernel, e): coef}
+    cols = [Counter() for _ in range(k)]                   # w_{n,m}: {(kernel, j): coef} at n-j
+    for r, l, c in _newton_terms(q_in, k):
+        key = kernel(q_in, r)
+        for d, terms in enumerate(lags):       # interior piece at kernel index e, off the tail
+            e = d + q_in - 1 - l
+            if e >= n_tail:
+                terms[key, e] += c
+        for j in range(1 - q_in, n_head + 1):  # interior terms the row assumes at j <= k-i
+            m = j + q_in - 1 - l
+            if m >= 0:
+                cols[m][key, j] -= c
+    for j, (q, deg) in enumerate(layout[:n_head], 1):
+        for r, l, c in _newton_terms(q, deg):
+            cols[j + q - 1 - l][kernel(q, r), j] += c
+    for e, (q, deg) in enumerate(reversed(layout[n_head + 1:])):
+        for r, l, c in _newton_terms(q, deg):
+            d = e - q + 1 + l
+            if d < len(lags):
+                lags[d][kernel(q, r), e] += c
 
-    elif (k, i) == (3, 1):
-        I21, I22, I31 = tab[1, 2], tab[2, 2], tab[1, 3]
-        omega = (backward_diff(I, 1) + backward_diff(I21, 2) + backward_diff(I31, 3))[: N + 1]
-        if m.size:
-            starting[k:, 0] = (
-                -(I[m] - I[m - 1]) - I21[m] + 2.0 * I21[m - 1] + I22[m - 1]
-                - I31[m] + 3.0 * I31[m - 1] - 3.0 * I31[m - 2]
-            )
-            starting[k:, 1] = (
-                -2.0 * I[m - 1] - 2.0 * I22[m - 1] - I21[m - 1]
-                - I31[m - 1] + 3.0 * I31[m - 2]
-            )
-            starting[k:, 2] = I[m - 1] + I22[m - 1] - I31[m - 2]
-
-    elif (k, i) == (3, 2):
-        I21, I22, I31, I32 = tab[1, 2], tab[2, 2], tab[1, 3], tab[2, 3]
-        d1I = backward_diff(I, 1)
-        d2I22 = backward_diff(I22, 2)
-        d3I32 = backward_diff(I32, 3)
-        omega = np.empty(N + 1)
-        omega[0] = I[0] + I[1] + I22[1] + I21[0] + I32[1] + I31[0]
-        if N >= 1:
-            omega[1] = (
-                (I[2] - I[1]) - I[0] + I22[2] - 2.0 * I22[1] - 2.0 * I21[0]
-                + I32[2] - 3.0 * I32[1] - 3.0 * I31[0]
-            )
-        if N >= 2:
-            omega[2] = (
-                (I[3] - I[2]) + (I22[3] - 2.0 * I22[2] + I22[1]) + I21[0]
-                + I32[3] - 3.0 * I32[2] + 3.0 * I32[1] + 3.0 * I31[0]
-            )
-        if N >= 3:
-            omega[3] = (
-                (I[4] - I[3]) + (I22[4] - 2.0 * I22[3] + I22[2])
-                + (I32[4] - 3.0 * I32[3] + 3.0 * I32[2] - I32[1]) - I31[0]
-            )
-        if N >= 4:
-            omega[4:] = d1I[ns[4:] + 1] + d2I22[ns[4:] + 1] + d3I32[ns[4:] + 1]
-        if m.size:
-            starting[k:, 0] = (
-                -(I[m + 1] - I[m]) - I22[m + 1] + 2.0 * I22[m]
-                - I32[m + 1] + 3.0 * I32[m] - 3.0 * I32[m - 1]
-            )
-            starting[k:, 1] = -I[m] - I22[m] - I32[m] + 3.0 * I32[m - 1]
-            starting[k:, 2] = -I32[m - 1]
-
-    elif (k, i) == (3, 3):
-        I21, I22, I23 = tab[1, 2], tab[2, 2], tab[3, 2]
-        I31, I32, I33 = tab[1, 3], tab[2, 3], tab[3, 3]
-        d1I = backward_diff(I, 1)
-        d2I23 = backward_diff(I23, 2)
-        d3I33 = backward_diff(I33, 3)
-        omega = np.empty(N + 1)
-        omega[0] = I[0] + I[1] + I[2] + I21[0] + I22[1] + I23[2] + I31[0] + I32[1] + I33[2]
-        if N >= 1:
-            omega[1] = (
-                (I[3] - I[2]) - I[0] - I[1]
-                + I23[3] - 2.0 * I23[2] - 2.0 * I22[1] - 2.0 * I21[0]
-                + I33[3] - 3.0 * I33[2] - 3.0 * I32[1] - 3.0 * I31[0]
-            )
-        if N >= 2:
-            omega[2] = (
-                (I[4] - I[3]) + (I23[4] - 2.0 * I23[3] + I23[2]) + I22[1] + I21[0]
-                + I33[4] - 3.0 * I33[3] + 3.0 * I33[2] + 3.0 * I31[0] + 3.0 * I32[1]
-            )
-        if N >= 3:
-            omega[3] = (
-                (I[5] - I[4]) + (I23[5] - 2.0 * I23[4] + I23[3])
-                + (I33[5] - 3.0 * I33[4] + 3.0 * I33[3] - I33[2])
-                - I32[1] - I31[0]
-            )
-        if N >= 4:
-            omega[4:] = d1I[ns[4:] + 2] + d2I23[ns[4:] + 2] + d3I33[ns[4:] + 2]
-        if m.size:
-            starting[k:, 0] = (
-                -(I[m + 2] - I[m + 1]) - (I23[m + 2] - 2.0 * I23[m + 1] + I23[m])
-                - I33[m + 2] + 3.0 * I33[m + 1] - 3.0 * I33[m]
-            )
-            starting[k:, 1] = (
-                -(I[m + 1] - I[m]) - I23[m + 1] + 2.0 * I23[m]
-                - I33[m + 1] + 3.0 * I33[m]
-            )
-            starting[k:, 2] = -I[m] - I23[m] - I33[m]
-
-    else:  # pragma: no cover - SchemeId already rejects these
-        raise ValueError(f"unknown scheme (k={k}, i={i})")
-
+    omega = sum(backward_diff(tables[kernel(q_in, r)], r)[q_in - 1: q_in + n_max]
+                for r in range(1, k + 1))
+    for d, terms in enumerate(lags):  # these sums cancel heavily: compensated summation
+        omega[d] = math.fsum(c * tables[key][e] for (key, e), c in terms.items())
+    starting = np.zeros((n_max + 1, k))
+    n = np.arange(k, n_max + 1)
+    for m, terms in enumerate(cols):
+        starting[k:, m] = sum(c * tables[key][n - j] for (key, j), c in terms.items() if c)
     return omega, starting
 
 
@@ -255,16 +220,3 @@ def weight_table(scheme, alpha: float, n_max: int) -> WeightTable:
     if not (isinstance(n_max, (int, np.integer)) and n_max >= 0):
         raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
     return _build(s.k, s.i, float(alpha), int(n_max))
-
-
-def convolution_weights(scheme, alpha: float, n_max: int) -> np.ndarray:
-    """omega_0..omega_n_max of the scheme (read-only view of the cached table)."""
-    return weight_table(scheme, alpha, n_max).omega
-
-
-def starting_weights(scheme, alpha: float, n: int) -> tuple:
-    """(w_{n,0}, ..., w_{n,k-1}) for step n >= k."""
-    s = _as_scheme(scheme)
-    if not (isinstance(n, (int, np.integer)) and n >= s.k):
-        raise ValueError(f"starting weights exist for n >= k = {s.k}, got {n!r}")
-    return weight_table(s, alpha, int(n)).starting_row(int(n))

@@ -46,20 +46,19 @@ from fracstep import (
     backward_diff,
     build_interpolant,
     caputo_monomial,
-    fit_order,
     in_stability_region,
     kernel_table,
     linear_complex,
     mlf_decay,
     nonlinear_square,
     oracle_discrete_caputo,
-    phi_at,
     run_convergence,
     run_truncation_study,
-    series_diagnostics,
     solve,
     weight_table,
 )
+from fracstep.harness import fit_order
+from fracstep.stability import phi_at, series_diagnostics
 
 DECAY_M = (20, 40, 80, 160, 320)
 FORCED_M = (128, 256, 512, 1024, 2048)

@@ -185,8 +185,7 @@ def test_solve_warns_on_blowup(tmp_path, capsys):
 def test_converge_writes_table(tmp_path, capsys):
     cfg = _solve_config(tmp_path, grid={"T": 1.0, "M_list": [16, 8]})
     out_path = tmp_path / "rates.csv"
-    rc, out, err = run_cli(capsys, "converge", "--config", str(cfg),
-                           "--threads", "2", "-o", str(out_path))
+    rc, out, err = run_cli(capsys, "converge", "--config", str(cfg), "-o", str(out_path))
     assert rc == 0
     with open(out_path) as fh:
         rows = read_convergence_csv(fh)

@@ -5,8 +5,8 @@ import cmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracstep import ExprEvalError, ExprSyntaxError, evaluate, parse, to_source
-from fracstep.expr import BinOp, Call, Imag, Neg, Num, Var
+from fracstep import ExprEvalError, ExprSyntaxError, evaluate, parse
+from fracstep.expr import BinOp, Call, Imag, Neg, Num, Var, to_source
 
 
 def test_arithmetic_basics():

@@ -14,21 +14,21 @@ from fracstep import (
     ProblemSpec,
     SchemeId,
     build_interpolant,
-    fit_order,
     linear_complex,
     load_config,
     mlf_decay,
     nonlinear_square,
     oracle_discrete_caputo,
-    parse_config,
     run_convergence,
     run_truncation_study,
     solve,
 )
 from fracstep import harness
 from fracstep.harness import (
+    fit_order,
     format_complex,
     parse_complex,
+    parse_config,
     read_convergence_csv,
     read_trajectory_csv,
     write_convergence_csv,
@@ -103,14 +103,6 @@ def test_run_convergence_row_order_and_rates():
     for first, second in zip(rows[::2], rows[1::2]):
         assert first.rate is None
         assert second.rate == pytest.approx(math.log2(first.abs_err / second.abs_err))
-
-
-def test_run_convergence_thread_count_invariant():
-    serial = run_convergence(mlf_decay, [(1, 1), (2, 2)], [0.5], [8, 16, 32])
-    threaded = run_convergence(mlf_decay, [(1, 1), (2, 2)], [0.5], [8, 16, 32], threads=4)
-    assert serial == threaded
-    with pytest.raises(ConfigError):
-        run_convergence(mlf_decay, [(1, 1)], [0.5], [8], threads=0)
 
 
 def test_run_convergence_blowup_rows():

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from fracstep import backward_diff, dbinom_poly, kernel_integral, kernel_table
+from fracstep import backward_diff, kernel_table
+from fracstep.kernel import dbinom_poly, kernel_integral
 
 ALPHAS = (0.1, 0.3, 0.5, 0.7, 0.9)
 

@@ -13,15 +13,15 @@ from fracstep import (
     PivotBreakdownError,
     ProblemSpec,
     SchemeId,
-    bootstrap_starts,
-    fit_order,
     linear_complex,
     mlf_decay,
     nonlinear_square,
     solve,
     weight_table,
 )
+from fracstep.harness import fit_order
 from fracstep.operator import compensated_cdot
+from fracstep.solver import bootstrap_starts
 
 
 def test_quadratic_scheme_reference_cell():

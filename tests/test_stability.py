@@ -5,14 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from fracstep import (
-    ALL_SCHEMES,
-    boundary_locus,
-    in_stability_region,
-    phi_at,
-    series_diagnostics,
-)
-from fracstep.stability import _locus_samples
+from fracstep import ALL_SCHEMES, boundary_locus, in_stability_region
+from fracstep.stability import _locus_samples, phi_at, series_diagnostics
 
 # zeta(pi) = sum_n (-1)^n omega_n for the truncated locus with 6000 terms.
 HALF_TURN_REFERENCE = [

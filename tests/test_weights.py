@@ -7,10 +7,13 @@ import pytest
 
 from fracstep import (
     ALL_SCHEMES,
+    GridSpec,
     SchemeId,
+    Trajectory,
     WeightConsistencyError,
-    convolution_weights,
-    starting_weights,
+    apply_discrete_caputo,
+    build_interpolant,
+    oracle_discrete_caputo,
     weight_table,
 )
 
@@ -31,7 +34,7 @@ def test_degree_one_closed_form():
     # omega_n = ((n+1)^(1-a) - 2 n^(1-a) + (n-1)^(1-a)) / Gamma(2-a) for n >= 1,
     # omega_0 = 1 / Gamma(2-a): the classical first-order weights.
     for alpha in ALPHAS:
-        omega = convolution_weights(SchemeId(1, 1), alpha, 64)
+        omega = weight_table(SchemeId(1, 1), alpha, 64).omega
         g = math.gamma(2.0 - alpha)
         assert omega[0] == pytest.approx(1.0 / g, rel=1e-14)
         for n in range(1, 65):
@@ -41,7 +44,7 @@ def test_degree_one_closed_form():
             assert omega[n] == pytest.approx(ref, rel=1e-11, abs=1e-15), (alpha, n)
         # starting weight w_{m,0} = -I_m closes the rows
         for m in (1, 2, 17, 64):
-            w = starting_weights(SchemeId(1, 1), alpha, m)
+            w = weight_table(SchemeId(1, 1), alpha, m).starting_row(m)
             ref = -((m + 1.0) ** (1 - alpha) - m ** (1 - alpha)) / g
             assert w[0] == pytest.approx(ref, rel=1e-12)
 
@@ -62,7 +65,7 @@ def test_omega0_positive():
     # |omega_1| exceeds omega_0), so only positivity is structural.
     for s in ALL_SCHEMES:
         for alpha in ALPHAS:
-            omega = convolution_weights(s, alpha, 32)
+            omega = weight_table(s, alpha, 32).omega
             assert omega[0] > 0.0
 
 
@@ -70,7 +73,7 @@ def test_partial_sums_positive_decreasing():
     # omega(xi) = (1-xi)^alpha psi(xi) with psi(1) = 1 forces the partial sums
     # (phi coefficients) to decay like n^(-alpha) while staying positive.
     for s in ALL_SCHEMES:
-        phi = np.cumsum(convolution_weights(s, 0.5, 6000))
+        phi = np.cumsum(weight_table(s, 0.5, 6000).omega)
         tail = phi[100:]
         assert tail.min() > 0.0
         assert np.all(np.diff(tail) <= 1e-15)
@@ -79,10 +82,29 @@ def test_partial_sums_positive_decreasing():
 
 def test_limit_alpha_near_one_is_bdf():
     # as alpha -> 1 the degree-1 scheme collapses to backward Euler
-    omega = convolution_weights(SchemeId(1, 1), 0.999, 8)
+    omega = weight_table(SchemeId(1, 1), 0.999, 8).omega
     assert omega[0] == pytest.approx(1.0, abs=5e-3)
     assert omega[1] == pytest.approx(-1.0, abs=5e-3)
     assert np.abs(omega[2:]).max() < 5e-3
+
+
+def test_tables_match_oracle_at_long_range():
+    # The whole row at n = 200, starting columns included: a random sample
+    # vector, and a unit sample on u_0, which only omega_n and w_{n,0} see.
+    M = 200
+    g = GridSpec(T=1.0, M=M)
+    rng = np.random.default_rng(5)
+    random = rng.standard_normal(M + 1) + 1j * rng.standard_normal(M + 1)
+    unit = np.zeros(M + 1, dtype=complex)
+    unit[0] = 1.0
+    for s in ALL_SCHEMES:
+        for alpha in (0.3, 0.7):
+            tab = weight_table(s, alpha, M)
+            budget = 1e-8 * g.dt ** -alpha
+            for samples in (random, unit):
+                direct = apply_discrete_caputo(tab, Trajectory(grid=g, values=samples), M)
+                orac = oracle_discrete_caputo(build_interpolant(s, g, samples, M), alpha)
+                assert abs(direct - orac) <= budget, (s.label, alpha, abs(direct - orac))
 
 
 def test_weight_table_cache_returns_same_object():
@@ -100,7 +122,7 @@ def test_starting_row_accessor_bounds():
     with pytest.raises(ValueError):
         tab.starting_row(17)
     with pytest.raises(ValueError):
-        starting_weights(SchemeId(2, 1), 0.4, 1)
+        weight_table(SchemeId(2, 1), 0.4, 1).starting_row(1)
 
 
 def test_degenerate_table_lengths():
@@ -116,8 +138,9 @@ def test_weight_table_argument_validation():
         weight_table(SchemeId(1, 1), 1.0, 4)
     with pytest.raises(ValueError):
         weight_table(SchemeId(1, 1), 0.5, -1)
-    with pytest.raises(ValueError):
-        weight_table("nonsense", 0.5, 4)
+    for bad in ("nonsense", (1.5, 1), (1,)):
+        with pytest.raises(ValueError):
+            weight_table(bad, 0.5, 4)
 
 
 def test_consistency_error_type_exists():
