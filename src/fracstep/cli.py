@@ -7,14 +7,12 @@ so an aborted run never leaves a partial file behind.
 """
 
 import argparse
-import io
 import os
 import sys
 import tempfile
 
 from .harness import (
     ConfigError,
-    format_complex,
     format_float,
     load_config,
     parse_complex,

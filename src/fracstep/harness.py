@@ -26,7 +26,7 @@ from .operator import GridSpec, Trajectory, apply_discrete_caputo
 from .oracle import caputo_monomial
 from .solver import NewtonConfig, ProblemSpec, SolveReport, solve
 from .special import mittag_leffler, require_finite_complex
-from .weights import SchemeId, _as_scheme, weight_table
+from .weights import _as_scheme, weight_table
 
 __all__ = [
     "ConfigError",
@@ -145,15 +145,18 @@ def run_convergence(
     """
     schemes = [_as_scheme(s) for s in schemes]
     M_list = sorted(int(M) for M in M_list)
+    problems = {float(a): problem_for(float(a)) for a in alphas}
+    if any(p.exact is None for p in problems.values()):
+        raise ValueError("a convergence run needs a problem with an exact solution")
     rows = []
     for s in schemes:
         for a in alphas:
             prev_err = None
             for M in M_list:
-                report = solve(problem_for(float(a)), s, GridSpec(T=T, M=M), starting=starting,
+                report = solve(problems[float(a)], s, GridSpec(T=T, M=M), starting=starting,
                                newton=newton, hold_first_value=hold_first_value)
                 blown = report.blowup
-                err = report.max_abs_u if blown else float(report.errors[-1])
+                err = report.max_abs_u if blown else report.final_error
                 rate = None
                 if not blown and prev_err is not None and err > 0.0 and prev_err > 0.0:
                     rate = math.log2(prev_err / err)
@@ -347,10 +350,8 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("schemes must be a nonempty list of [k, i] pairs")
     schemes = []
     for entry in schemes_raw:
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise ConfigError(f"scheme entries must be [k, i] pairs, got {entry!r}")
         try:
-            schemes.append(SchemeId(int(entry[0]), int(entry[1])))
+            schemes.append(_as_scheme(entry))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -358,20 +359,21 @@ def parse_config(raw: dict) -> RunConfig:
     if not isinstance(grid, dict):
         raise ConfigError("grid must be an object")
     _reject_unknown(grid, _GRID_KEYS, "grid")
-    if "T" not in grid or not (isinstance(grid["T"], (int, float)) and grid["T"] > 0):
-        raise ConfigError("grid.T must be a positive number")
+    T = grid.get("T")
+    if not (isinstance(T, (int, float)) and not isinstance(T, bool) and math.isfinite(T) and T > 0):
+        raise ConfigError("grid.T must be a positive finite number")
     if ("M" in grid) == ("M_list" in grid):
         raise ConfigError("grid needs exactly one of 'M' or 'M_list'")
     single_M = None
     if "M" in grid:
-        if not (isinstance(grid["M"], int) and grid["M"] >= 1):
+        if not (type(grid["M"]) is int and grid["M"] >= 1):   # JSON true is not a count
             raise ConfigError("grid.M must be a positive integer")
         single_M = grid["M"]
         M_list = (grid["M"],)
     else:
         entries = grid["M_list"]
         if not (isinstance(entries, list) and entries
-                and all(isinstance(M, int) and M >= 1 for M in entries)):
+                and all(type(M) is int and M >= 1 for M in entries)):
             raise ConfigError("grid.M_list must be a nonempty list of positive integers")
         M_list = tuple(sorted(entries))
 
@@ -397,7 +399,7 @@ def parse_config(raw: dict) -> RunConfig:
             raise ConfigError(str(exc)) from None
 
     return RunConfig(problem_for=factory, alphas=tuple(float(a) for a in alphas),
-                     schemes=tuple(schemes), T=float(grid["T"]), M_list=M_list,
+                     schemes=tuple(schemes), T=float(T), M_list=M_list,
                      single_M=single_M, starting=starting, newton=newton,
                      problem_label=label, hold_first_value=hold)
 
@@ -458,8 +460,6 @@ def write_trajectory_csv(report: SolveReport, fh, exact: Optional[Callable] = No
         if exact is not None:
             ref = complex(exact(t))
             rec += [format_float(ref.real), format_float(ref.imag), format_float(abs(u - ref))]
-        elif report.errors is not None:
-            rec += ["", "", format_float(report.errors[n])]
         else:
             rec += ["", "", ""]
         writer.writerow(rec)

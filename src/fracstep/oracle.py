@@ -14,7 +14,6 @@ from dataclasses import astuple, dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .operator import GridSpec
 from .special import gamma_real
@@ -162,6 +161,7 @@ def build_interpolant(scheme, grid: GridSpec, samples, n: int) -> PiecewiseInter
 
 @lru_cache(maxsize=16)
 def _jacobi_rule(alpha: float):
+    from scipy.special import roots_jacobi   # deferred: scipy is most of an import's cost
     x, w = roots_jacobi(_PANEL_POINTS, -alpha, 0.0)
     return 0.5 * (x + 1.0), w
 

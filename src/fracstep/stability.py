@@ -11,7 +11,6 @@ i.e. omega(xi) = (1-xi) phi(xi)) and psi (coefficients of
 (1-xi)^(1-alpha) phi(xi), so omega(xi) = (1-xi)^alpha psi(xi), psi(1) = 1).
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache

@@ -63,7 +63,8 @@ def _as_scheme(scheme) -> SchemeId:
     if isinstance(scheme, SchemeId):
         return scheme
     try:
-        k, i = (index(v) for v in scheme)   # integers only: 1.5 must not become 1
+        # integers only: neither 1.5 nor True may become 1
+        k, i = (index(v) for v in scheme if not isinstance(v, bool))
     except (TypeError, ValueError):
         raise ValueError(f"not a scheme label: {scheme!r}") from None
     return SchemeId(k, i)
@@ -81,11 +82,6 @@ class WeightTable:
     @property
     def n_max(self) -> int:
         return self.omega.size - 1
-
-    @property
-    def abs_sum(self) -> float:
-        """sum_n |omega_n|, monitored for stability diagnostics."""
-        return float(np.abs(self.omega).sum())
 
     def starting_row(self, n: int) -> tuple:
         if not self.scheme.k <= n <= self.n_max:

@@ -192,6 +192,16 @@ def test_converge_writes_table(tmp_path, capsys):
     assert [(r.M, r.rate is None) for r in rows] == [(8, True), (16, False)]
 
 
+def test_converge_without_exact_solution_is_runtime_error(tmp_path, capsys):
+    cfg = _solve_config(tmp_path, problem={"rhs": {"expr": "-u"}, "u0": "1"},
+                        schemes=[[1, 1]], grid={"T": 1.0, "M_list": [8, 16]})
+    out_path = tmp_path / "rates.csv"
+    rc, out, err = run_cli(capsys, "converge", "--config", str(cfg), "-o", str(out_path))
+    assert rc == 2
+    assert "fracstep: error:" in err
+    assert not out_path.exists()
+
+
 def test_missing_config_file_is_runtime_error(tmp_path, capsys):
     rc, out, err = run_cli(capsys, "solve", "--config", str(tmp_path / "none.json"))
     assert rc == 2

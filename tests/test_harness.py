@@ -278,6 +278,14 @@ def test_parse_config_expression_problem():
     lambda raw: raw.update(newton=[1e-12]),
     lambda raw: raw.update(newton={"tol": 1e-12, "damping": 0.5}),
     lambda raw: raw.update(newton={"tol": 0.0}),
+    lambda raw: raw.update(schemes=[[2.7, 1]]),
+    lambda raw: raw.update(schemes=[["2", "1"]]),
+    lambda raw: raw.update(schemes=[[True, 1]]),
+    lambda raw: raw.update(grid={"T": True, "M": 8}),
+    lambda raw: raw.update(grid={"T": math.inf, "M": 8}),
+    lambda raw: raw.update(grid={"T": 1.0, "M": True}),
+    lambda raw: raw.update(grid={"T": 1.0, "M_list": [8, True]}),
+    lambda raw: raw.update(newton={"max_iter": True}),
 ])
 def test_parse_config_rejects(mangle):
     raw = _good_config()
@@ -338,9 +346,9 @@ def test_trajectory_csv_round_trip():
     assert recs[0]["n"] == 0
     assert recs[0]["u"] == 1.0 + 0.0j
     assert recs[-1]["t"] == 1.0
-    for rec, err in zip(recs, report.errors):
+    for rec, u, t in zip(recs, report.trajectory.values, report.trajectory.grid.times()):
         assert rec["exact"] is not None
-        assert rec["abs_err"] == pytest.approx(err, abs=1e-15)
+        assert rec["abs_err"] == pytest.approx(abs(u - problem.exact(t)), abs=1e-15)
 
 
 def test_trajectory_csv_without_exact():

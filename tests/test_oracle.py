@@ -1,8 +1,13 @@
 """Tests for the quadrature oracle and the piecewise interpolants behind it."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import fracstep
 from fracstep import (
     ALL_SCHEMES,
     GridSpec,
@@ -116,3 +121,15 @@ def test_oracle_argument_validation():
         oracle_discrete_caputo(itp, 0.5, n=4)
     with pytest.raises(ValueError):
         build_interpolant(SchemeId(2, 1), g, np.ones(3), 5)
+
+
+def test_package_import_defers_scipy():
+    # The oracle's Gauss-Jacobi rule is the only scipy user; it imports on first use.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fracstep.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, fracstep; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

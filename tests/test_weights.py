@@ -138,7 +138,7 @@ def test_weight_table_argument_validation():
         weight_table(SchemeId(1, 1), 1.0, 4)
     with pytest.raises(ValueError):
         weight_table(SchemeId(1, 1), 0.5, -1)
-    for bad in ("nonsense", (1.5, 1), (1,)):
+    for bad in ("nonsense", (1.5, 1), (1,), (True, 1)):
         with pytest.raises(ValueError):
             weight_table(bad, 0.5, 4)
 
