@@ -249,7 +249,7 @@ def _reject_unknown(mapping, allowed, where):
 
 def parse_complex(text) -> complex:
     """Parse 'RE', 'IMi', or 'RE+IMi' (also accepts plain numbers)."""
-    if isinstance(text, (int, float)):
+    if isinstance(text, (int, float)) and not isinstance(text, bool):
         return complex(text)
     if not isinstance(text, str):
         raise ConfigError(f"not a complex value: {text!r}")

@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "dbinom_poly",
-    "kernel_integral",
     "kernel_table",
     "backward_diff",
     "KernelTable",
@@ -27,6 +26,7 @@ __all__ = [
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
 _GL_S = 0.5 * (_GL_X + 1.0)   # nodes on [0, 1]
 _GL_WS = 0.5 * _GL_W
+_GL_WM = np.stack([_GL_WS, _GL_WS * _GL_S, _GL_WS * (_GL_S * _GL_S)])   # row m: w_j s_j^m
 
 
 def _check_alpha(alpha):
@@ -76,15 +76,24 @@ def _moments_gauss(alpha, ns):
     geometrically and is exact to machine precision already at n = 1.
     (An antiderivative expansion is exact on paper but loses ~5 digits to
     cancellation; quadrature is the accurate route here.)
+
+    Each J_m(n) sums its 32 weighted nodes t_j pairwise, ((t_0 + t_1) +
+    (t_2 + t_3)) + ..., in elementwise array operations, an order that does
+    not depend on the other n in the batch.  So the moments up to n are bit
+    for bit the first columns of any longer batch, and every kernel and weight
+    table is a prefix of the longer table.  A matrix-vector product leaves the
+    order to BLAS, which changes it with the number of rows.
     """
-    ns = np.asarray(ns, dtype=float)
-    base = (ns[:, None] + 1.0 - _GL_S[None, :]) ** (-alpha)    # (len(ns), 32)
-    out = np.empty((3, ns.size))
-    sm = np.ones_like(_GL_S)
-    for m in range(3):
-        out[m] = base @ (_GL_WS * sm)
-        sm = sm * _GL_S
-    return out
+    base = ((np.asarray(ns, dtype=float) + 1.0) - _GL_S[:, None]) ** (-alpha)   # (32, len(ns))
+    partial = []   # sums of 2^p adjacent terms, merged as soon as two have the same size
+    for j in range(_GL_S.size):
+        t = _GL_WM[:, j:j + 1] * base[j]
+        size = 1
+        while (j + 1) % (2 * size) == 0:
+            t = partial.pop() + t
+            size *= 2
+        partial.append(t)
+    return partial[0]
 
 
 def _power_moments(alpha, n_max):
@@ -94,25 +103,6 @@ def _power_moments(alpha, n_max):
     if n_max >= 1:
         J[:, 1:] = _moments_gauss(alpha, np.arange(1, n_max + 1))
     return J
-
-
-def _moments_at(alpha, n):
-    if n == 0:
-        return _moments_closed_zero(alpha)
-    return _moments_gauss(alpha, [n])[:, 0]
-
-
-def kernel_integral(n: int, q: int, r: int, alpha: float) -> float:
-    """I_{n,q}^r, with the accessor convention I = 0 for n < 0."""
-    alpha = _check_alpha(alpha)
-    q, r = _check_qr(q, r)
-    if not isinstance(n, (int, np.integer)):
-        raise ValueError(f"kernel index n must be an integer, got {n!r}")
-    if n < 0:
-        return 0.0
-    c = dbinom_poly(q, r)
-    J = _moments_at(alpha, int(n))
-    return float(np.dot(c, J[: len(c)])) / math.gamma(1.0 - alpha)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from .weights import _as_scheme, piece_layout
 __all__ = [
     "caputo_monomial",
     "lagrange_piece_eval",
-    "newton_piece_eval",
     "PiecewiseInterpolant",
     "build_interpolant",
     "oracle_discrete_caputo",
@@ -79,23 +78,6 @@ def lagrange_piece_eval(samples, j: int, q: int, k: int, s: float) -> complex:
             if mm != node:
                 basis *= (x - mm) / (node - mm)
         total += basis * complex(samples[node])
-    return total
-
-
-def newton_piece_eval(samples, j: int, q: int, k: int, s: float) -> complex:
-    """Same piece in Newton form: sum_r C(s-q+r-1, r) nabla^r u_{j+q-1}."""
-    _check_piece(samples, j, q, k)
-    top = j + q - 1
-    total = 0.0 + 0.0j
-    for r in range(k + 1):
-        diff = 0.0 + 0.0j
-        for l in range(r + 1):
-            diff += (-1.0) ** l * math.comb(r, l) * complex(samples[top - l])
-        x = s - q + r - 1.0
-        basis = 1.0
-        for l in range(r):
-            basis *= (x - l) / (r - l)
-        total += basis * diff
     return total
 
 

@@ -2,7 +2,7 @@
 
 Each step solves omega_0 u_n - dt^alpha f(t_n, u_n) + H_n = 0 with H_n the
 weighted history sum.  Linear right-hand sides f = lam*u + g(t) use the closed
-form; everything else runs a damped-free Newton iteration.  History evaluation
+form; everything else runs an undamped Newton iteration.  History evaluation
 is a direct O(n) convolution per step (O(M^2) per solve): one BLAS product of
 the reversed weights with the (re, im) pairs of the past samples, in ordinary
 rounded summation: runs repeat exactly on one machine, but may differ across BLAS builds.

@@ -138,9 +138,7 @@ def _assemble(k: int, i: int, alpha: float, n_max: int):
     n_head = sum(deg < k for _, deg in layout)
     n_tail = k - n_head - 1
     q_in = layout[n_head][0]
-    # The batched Gauss rule changes J's last bits with the batch length, so
-    # keep the length the tables have always had; it covers n_max + k - 1.
-    J = _power_moments(alpha, max(n_max, 4) + 2)
+    J = _power_moments(alpha, n_max + q_in - 1)   # the largest kernel index read
     tables = {}
 
     @cache

@@ -227,10 +227,10 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
-def test_module_entry_point():
+def test_module_entry_point(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "fracstep", "mlf", "--alpha", "1", "--beta", "1", "--z", "0"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=child_env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1.0,0.0"

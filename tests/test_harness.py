@@ -286,6 +286,12 @@ def test_parse_config_expression_problem():
     lambda raw: raw.update(grid={"T": 1.0, "M": True}),
     lambda raw: raw.update(grid={"T": 1.0, "M_list": [8, True]}),
     lambda raw: raw.update(newton={"max_iter": True}),
+    lambda raw: raw.update(problem={"tag": "linear_complex", "lambda": True}),
+    lambda raw: raw.update(problem={"tag": "linear_complex", "lambda": False}),
+    lambda raw: raw.update(problem={"tag": "nonlinear_square", "mu": True}),
+    lambda raw: raw.update(problem={"tag": "nonlinear_square", "mu": False}),
+    lambda raw: raw.update(problem={"rhs": {"expr": "-u"}, "u0": True}),
+    lambda raw: raw.update(problem={"rhs": {"expr": "-u"}, "u0": False}),
 ])
 def test_parse_config_rejects(mangle):
     raw = _good_config()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fracstep import backward_diff, kernel_table
-from fracstep.kernel import dbinom_poly, kernel_integral
+from fracstep.kernel import _power_moments, dbinom_poly
 
 ALPHAS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -61,7 +61,7 @@ def test_dbinom_poly_domain():
 
 def test_kernel_integral_reference_values():
     for n, q, r, alpha, ref in KERNEL_REFERENCE:
-        got = kernel_integral(n, q, r, alpha)
+        got = kernel_table(alpha, q, r, n).value(n)
         assert abs(got - ref) <= 1e-13 * abs(ref), (n, q, r, alpha)
 
 
@@ -76,17 +76,30 @@ def test_kernel_integral_closed_form_r1():
 
 
 def test_kernel_integral_negative_index_is_zero():
-    assert kernel_integral(-1, 1, 1, 0.5) == 0.0
-    assert kernel_integral(-3, 2, 3, 0.3) == 0.0
+    assert kernel_table(0.5, 1, 1, 1).value(-1) == 0.0
+    assert kernel_table(0.3, 2, 3, 1).value(-3) == 0.0
     assert kernel_table(0.5, 1, 2, 8).value(-2) == 0.0
 
 
-def test_kernel_table_matches_pointwise_accessor():
-    for alpha in (0.2, 0.8):
+PREFIX_ALPHAS = (0.05, 0.3, 0.5, 0.7, 0.95)
+
+
+def test_power_moments_are_prefixes():
+    # the moments up to n must not depend on how many more the batch holds
+    for alpha in PREFIX_ALPHAS:
+        long = _power_moments(alpha, 6000)
+        for n in (0, 1, 2, 5, 17, 33, 300, 1999):
+            assert np.array_equal(_power_moments(alpha, n), long[:, : n + 1]), (alpha, n)
+
+
+def test_kernel_table_is_prefix_of_longer_table():
+    for alpha in PREFIX_ALPHAS:
         for q, r in ((1, 1), (2, 2), (1, 3), (3, 3)):
-            tab = kernel_table(alpha, q, r, 24)
-            for n in (0, 1, 2, 7, 24):
-                assert tab.value(n) == pytest.approx(kernel_integral(n, q, r, alpha), rel=1e-14)
+            long = kernel_table(alpha, q, r, 2000)
+            for n in (0, 1, 2, 7, 24, 300, 1999):
+                tab = kernel_table(alpha, q, r, n)
+                assert np.array_equal(tab.values, long.values[: n + 1]), (alpha, q, r, n)
+                assert tab.value(n) == long.value(n)
 
 
 def test_kernel_difference_identities():
@@ -110,7 +123,7 @@ def test_kernel_difference_identities():
 def test_kernel_pair_identity_closed_form():
     # I_{0,1}^3 + I_{1,2}^3 = 2^(1-a) (a^2 + a) / (3 Gamma(4-a))
     for alpha in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
-        lhs = kernel_integral(0, 1, 3, alpha) + kernel_integral(1, 2, 3, alpha)
+        lhs = kernel_table(alpha, 1, 3, 0).value(0) + kernel_table(alpha, 2, 3, 1).value(1)
         rhs = 2.0 ** (1 - alpha) * (alpha ** 2 + alpha) / (3.0 * math.gamma(4 - alpha))
         assert abs(lhs - rhs) <= 1e-13 * abs(rhs), alpha
 
@@ -157,10 +170,10 @@ def test_backward_diff_basics():
 
 def test_kernel_argument_validation():
     with pytest.raises(ValueError):
-        kernel_integral(1, 1, 1, 0.0)
+        kernel_table(0.0, 1, 1, 1)
     with pytest.raises(ValueError):
-        kernel_integral(1, 1, 1, 1.0)
+        kernel_table(1.0, 1, 1, 1)
     with pytest.raises(ValueError):
-        kernel_integral(1.5, 1, 1, 0.5)
+        kernel_table(0.5, 1, 1, 1.5)
     with pytest.raises(ValueError):
         kernel_table(0.5, 1, 1, -1)

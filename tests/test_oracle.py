@@ -1,13 +1,12 @@
 """Tests for the quadrature oracle and the piecewise interpolants behind it."""
 
-import os
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-import fracstep
 from fracstep import (
     ALL_SCHEMES,
     GridSpec,
@@ -20,7 +19,23 @@ from fracstep import (
     piece_layout,
     weight_table,
 )
-from fracstep.oracle import lagrange_piece_eval, newton_piece_eval
+from fracstep.oracle import lagrange_piece_eval
+
+
+def _newton_piece_eval(samples, j, q, k, s):
+    """The piece p_{j,q} in Newton form: sum_r C(s-q+r-1, r) nabla^r u_{j+q-1}."""
+    top = j + q - 1
+    total = 0.0 + 0.0j
+    for r in range(k + 1):
+        diff = 0.0 + 0.0j
+        for l in range(r + 1):
+            diff += (-1.0) ** l * math.comb(r, l) * complex(samples[top - l])
+        x = s - q + r - 1.0
+        basis = 1.0
+        for l in range(r):
+            basis *= (x - l) / (r - l)
+        total += basis * diff
+    return total
 
 
 def _random_samples(rng, n):
@@ -57,7 +72,7 @@ def test_lagrange_and_newton_forms_agree():
             for j in (k, 5, 9):
                 for s in (0.0, 0.3, 1.0):
                     a = lagrange_piece_eval(samples, j, q, k, s)
-                    b = newton_piece_eval(samples, j, q, k, s)
+                    b = _newton_piece_eval(samples, j, q, k, s)
                     assert abs(a - b) < 1e-12 * (1.0 + abs(a)), (k, q, j, s)
 
 
@@ -123,13 +138,11 @@ def test_oracle_argument_validation():
         build_interpolant(SchemeId(2, 1), g, np.ones(3), 5)
 
 
-def test_package_import_defers_scipy():
+def test_package_import_defers_scipy(child_env):
     # The oracle's Gauss-Jacobi rule is the only scipy user; it imports on first use.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(fracstep.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, fracstep; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, timeout=60, env=env,
+        capture_output=True, text=True, timeout=60, env=child_env,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

@@ -114,6 +114,17 @@ def test_weight_table_cache_returns_same_object():
     assert not a.omega.flags.writeable
 
 
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.label)
+def test_weight_table_is_prefix_of_longer_table(scheme):
+    # a table up to n holds the first rows of any longer table, bit for bit
+    for alpha in (0.05, 0.3, 0.5, 0.7, 0.95):
+        long = weight_table(scheme, alpha, 2000)
+        for n in (scheme.k, 5, 17, 300, 1999):
+            tab = weight_table(scheme, alpha, n)
+            assert np.array_equal(tab.omega, long.omega[: n + 1]), (alpha, n)
+            assert np.array_equal(tab.starting, long.starting[: n + 1]), (alpha, n)
+
+
 def test_starting_row_accessor_bounds():
     tab = weight_table(SchemeId(3, 1), 0.4, 16)
     assert len(tab.starting_row(3)) == 3
