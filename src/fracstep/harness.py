@@ -65,11 +65,14 @@ def mlf_decay(alpha: float) -> ProblemSpec:
     def exact(t: float) -> complex:
         return mittag_leffler(alpha, 1.0, -(t ** alpha))
 
-    def rhs(t: float, u: complex) -> complex:
+    def forcing(t):   # a float or an ndarray of t
         return -mittag_leffler(alpha, 1.0, -(t ** alpha))
 
+    def rhs(t: float, u: complex) -> complex:
+        return forcing(t)
+
     return ProblemSpec(alpha=alpha, u0=1.0 + 0.0j, rhs=rhs, lam=0.0 + 0.0j, exact=exact,
-                       name="mlf_decay")
+                       name="mlf_decay", forcing=forcing)
 
 
 def linear_complex(alpha: float, lam) -> ProblemSpec:
@@ -79,16 +82,14 @@ def linear_complex(alpha: float, lam) -> ProblemSpec:
     def exact(t: float) -> complex:
         return cmath.exp(complex(-t))
 
-    def forcing(t: float) -> complex:
-        if t == 0.0:
-            return -lam  # t^(1-alpha) vanishes, exp(0) = 1
-        return -(t ** (1.0 - alpha)) * mittag_leffler(1.0, 2.0 - alpha, -t) - lam * cmath.exp(complex(-t))
+    def forcing(t):   # a float or an ndarray of t; at t = 0 it is -lam
+        return -(t ** (1.0 - alpha)) * mittag_leffler(1.0, 2.0 - alpha, -t) - lam * np.exp(-t)
 
     def rhs(t: float, u: complex) -> complex:
         return lam * u + forcing(t)
 
     return ProblemSpec(alpha=alpha, u0=1.0 + 0.0j, rhs=rhs, lam=lam, exact=exact,
-                       name="linear_complex")
+                       name="linear_complex", forcing=forcing)
 
 
 def nonlinear_square(alpha: float, mu) -> ProblemSpec:

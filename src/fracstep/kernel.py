@@ -119,6 +119,10 @@ class KernelTable:
         return self.values.size - 1
 
     def value(self, n: int) -> float:
+        """I_{n,q}^r for integer n <= n_max; 0.0 for n < 0."""
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n > self.n_max:
+            raise ValueError(f"kernel value defined for integer n <= {self.n_max} "
+                             f"(0 for n < 0), got {n!r}")
         if n < 0:
             return 0.0
         return float(self.values[n])

@@ -2,7 +2,8 @@
 
 Each step solves omega_0 u_n - dt^alpha f(t_n, u_n) + H_n = 0 with H_n the
 weighted history sum.  Linear right-hand sides f = lam*u + g(t) use the closed
-form; everything else runs an undamped Newton iteration.  History evaluation
+form (a declared forcing g is evaluated on the whole grid before the first
+step); everything else runs an undamped Newton iteration.  History evaluation
 is a direct O(n) convolution per step (O(M^2) per solve): one BLAS product of
 the reversed weights with the (re, im) pairs of the past samples, in ordinary
 rounded summation: runs repeat exactly on one machine, but may differ across BLAS builds.
@@ -52,6 +53,9 @@ class ProblemSpec:
 
     lam marks a linear structure rhs(t, u) = lam * u + g(t) (lam = 0 for a
     pure-time right-hand side); the solver then steps by the closed form.
+    forcing, allowed only with lam, is g itself on an ndarray of t (an array
+    of the same shape, equal to rhs(t, 0) pointwise); the solver then
+    evaluates g on the whole grid in one call instead of rhs(t, 0) per step.
     rhs_du is the u-derivative for Newton; omitted means finite differences.
     """
 
@@ -62,6 +66,7 @@ class ProblemSpec:
     lam: Optional[complex] = None
     exact: Optional[Callable[[float], complex]] = None
     name: str = ""
+    forcing: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if not (isinstance(self.alpha, (int, float)) and 0.0 < self.alpha < 1.0):
@@ -69,6 +74,8 @@ class ProblemSpec:
         object.__setattr__(self, "u0", require_finite_complex(self.u0, "u0"))
         if self.lam is not None:
             object.__setattr__(self, "lam", require_finite_complex(self.lam, "lam"))
+        elif self.forcing is not None:
+            raise ValueError("forcing is the g of rhs = lam*u + g and needs lam")
         if self.exact is not None:
             at0 = require_finite_complex(self.exact(0.0), "exact(0)")
             if abs(at0 - self.u0) > 1e-12 * (1.0 + abs(self.u0)):
@@ -143,6 +150,11 @@ def solve(
     "bootstrap" (build u_1..u_{k-1} with the (1,1) scheme).  Irrelevant for
     k = 1.  Blowup (any |u_n| > 1e30) is flagged on the report, not raised.
 
+    A linear problem (lam set) that declares a forcing has g evaluated on
+    every node in one call before the first step, so an error in g surfaces
+    there, and g is evaluated on the nodes past a non-finite step too.
+    Without one, g = rhs(t_n, 0) is evaluated at each step.
+
     hold_first_value (degree-1 schemes only): pin u_1 = u_0 and begin
     stepping at n = 2, so the first interval carries no update.  This
     replication mode matches runs whose history array was primed with the
@@ -192,6 +204,14 @@ def solve(
         u[1] = u[0]
         n_start = 2
 
+    g = None
+    if problem.forcing is not None:
+        ts = (np.arange(grid.M + 1) * h)[n_start:]
+        g = np.asarray(problem.forcing(ts), dtype=complex)
+        if g.shape != ts.shape:
+            raise ValueError(f"forcing returned shape {g.shape} for {ts.size} grid times")
+        g = [0j] * n_start + g.tolist()   # read as Python complex numbers
+
     iters = np.zeros(grid.M + 1, dtype=int)
     max_abs = max(abs(complex(v)) for v in u[:min(n_start, grid.M + 1)])
     blowup = max_abs > _BLOWUP_THRESHOLD
@@ -204,7 +224,7 @@ def solve(
         t = n * h
         if linear:
             # rhs(t, 0) = g(t) for the declared linear structure
-            un = (ha * rhs(t, 0.0 + 0.0j) - H) / denom
+            un = (ha * (rhs(t, 0.0 + 0.0j) if g is None else g[n]) - H) / denom
         else:
             un, iters[n] = _newton_step(rhs, problem.rhs_du, n, t, u[n - 1], omega0, ha, H, cfg)
         u[n] = un

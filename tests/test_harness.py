@@ -49,6 +49,14 @@ def test_mlf_decay_structure():
         assert p.rhs(t, 123.4j) == -p.exact(t)
 
 
+@pytest.mark.parametrize("alpha", [0.05, 0.07])
+def test_mlf_decay_solves_at_small_order(alpha):
+    # E_{alpha,1}(-t^alpha) on t in [0, 1] stays within the series' accuracy budget
+    report = solve(mlf_decay(alpha), (2, 2), GridSpec(T=1.0, M=64))
+    assert not report.blowup
+    assert 1e-5 < report.final_error < 1e-3
+
+
 def test_nonlinear_square_jacobian():
     p = nonlinear_square(0.6, 0.5j)
     for u in (0.0, 1.5, 2.0 - 1.0j):

@@ -81,6 +81,19 @@ def test_kernel_integral_negative_index_is_zero():
     assert kernel_table(0.5, 1, 2, 8).value(-2) == 0.0
 
 
+@pytest.mark.parametrize("n", [5, 100, 1.5, 2.0, True, None, "2"])
+def test_kernel_value_rejects_out_of_range_or_non_integer(n):
+    table = kernel_table(0.5, 1, 1, 4)
+    with pytest.raises(ValueError, match=r"n <= 4"):
+        table.value(n)
+
+
+def test_kernel_value_accepts_numpy_integers():
+    table = kernel_table(0.5, 1, 1, 4)
+    assert table.value(np.int64(4)) == table.values[4]
+    assert table.value(np.int32(-1)) == 0.0
+
+
 PREFIX_ALPHAS = (0.05, 0.3, 0.5, 0.7, 0.95)
 
 

@@ -66,8 +66,9 @@ def test_linear_path_matches_forced_newton():
     problem = linear_complex(0.5, -1.0)
     grid = GridSpec(T=1.0, M=16)
     direct = solve(problem, (2, 1), grid)
-    # Without the declared linear structure the same problem steps by Newton.
-    newton = solve(dataclasses.replace(problem, lam=None), (2, 1), grid,
+    # Without the declared linear structure (lam and its forcing g) the same
+    # problem steps by Newton.
+    newton = solve(dataclasses.replace(problem, lam=None, forcing=None), (2, 1), grid,
                    newton=NewtonConfig(tol=1e-15))
     dev = np.max(np.abs(direct.trajectory.values - newton.trajectory.values))
     assert dev <= 1e-12
@@ -237,3 +238,76 @@ def test_exact_solution_sampled_for_starts_and_endpoint_only(M):
     grid = GridSpec(T=1.0, M=M)
     solve(counted, (3, 3), grid)
     assert calls == [grid.dt, 2 * grid.dt, grid.times()[-1]]
+
+
+ALL_SCHEMES = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+@pytest.mark.parametrize("problem", [mlf_decay(0.5), linear_complex(0.5, -1.0 + 0.5j)],
+                         ids=["mlf_decay", "linear_complex"])
+def test_declared_forcing_matches_per_node_rhs(problem, scheme):
+    grid = GridSpec(T=1.0, M=96)
+    vector = solve(problem, scheme, grid).trajectory.values
+    per_node = solve(dataclasses.replace(problem, forcing=None), scheme, grid).trajectory.values
+    assert np.all(np.abs(vector - per_node) <= 1e-15 * np.abs(per_node))
+
+
+@pytest.mark.parametrize("make, scalar_calls", [(lambda: mlf_decay(0.5), 3),
+                                                (lambda: linear_complex(0.5, -1.0 + 0.5j), 0)],
+                         ids=["mlf_decay", "linear_complex"])
+def test_linear_builtin_evaluates_forcing_once_on_the_grid(monkeypatch, make, scalar_calls):
+    from fracstep import harness
+
+    calls = []
+    series = harness.mittag_leffler
+
+    def counted(alpha, beta, z):
+        calls.append(np.shape(z) if isinstance(z, np.ndarray) else None)
+        return series(alpha, beta, z)
+
+    def rhs(t, u):
+        raise AssertionError("a declared forcing makes the step loop skip rhs")
+
+    problem = dataclasses.replace(make(), rhs=rhs)
+    monkeypatch.setattr(harness, "mittag_leffler", counted)
+    solve(problem, (3, 3), GridSpec(T=1.0, M=64))
+    # the forcing at t_3..t_64; the exact solution at t_1, t_2 and t_64
+    assert [c for c in calls if c is not None] == [(62,)]
+    assert calls.count(None) == scalar_calls
+
+
+def test_forcing_requires_linear_structure_and_grid_shape():
+    with pytest.raises(ValueError, match="needs lam"):
+        ProblemSpec(alpha=0.5, u0=1.0, rhs=lambda t, u: -u, forcing=lambda t: 0.0 * t)
+    short = ProblemSpec(alpha=0.5, u0=1.0, rhs=lambda t, u: -u, lam=-1.0,
+                        forcing=lambda t: np.zeros(3))
+    with pytest.raises(ValueError, match="forcing returned shape"):
+        solve(short, (1, 1), GridSpec(T=1.0, M=8))
+
+
+def test_per_node_rhs_stops_at_a_nonfinite_step():
+    seen = []
+
+    def rhs(t, u):
+        seen.append(t)
+        if t > 0.5:
+            raise AssertionError("rhs evaluated past the non-finite step")
+        return math.inf if t > 0.3 else 0.0
+
+    report = solve(ProblemSpec(alpha=0.5, u0=1.0, rhs=rhs, lam=0.0), (1, 1), GridSpec(T=1.0, M=8))
+    assert report.blowup
+    assert seen == [0.125, 0.25, 0.375]
+
+
+def test_forcing_errors_surface_before_the_first_step():
+    calls = []
+
+    def forcing(t):
+        calls.append(t.size)
+        raise ArithmeticError("forcing failed")
+
+    problem = ProblemSpec(alpha=0.5, u0=1.0, rhs=lambda t, u: -u, lam=-1.0, forcing=forcing)
+    with pytest.raises(ArithmeticError):
+        solve(problem, (1, 1), GridSpec(T=1.0, M=8))
+    assert calls == [8]   # one call, for t_1..t_8
