@@ -13,7 +13,6 @@ log2(err_{M/2} / err_M); blowup rows record the overflow magnitude instead.
 
 import cmath
 import csv
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -99,21 +98,20 @@ def nonlinear_square(alpha: float, mu) -> ProblemSpec:
     def exact(t: float) -> complex:
         return cmath.exp(mu * t)
 
-    # Newton evaluates rhs several times at one t; the forcing is computed once.
-    @functools.lru_cache(maxsize=1)
-    def forcing(t: float) -> complex:
-        if t == 0.0:
-            return 1.0 + 0.0j  # the mu * t^(1-alpha) * E term vanishes at 0
-        return mu * (t ** (1.0 - alpha)) * mittag_leffler(1.0, 2.0 - alpha, mu * t) + cmath.exp(2.0 * mu * t)
+    def forcing(t):   # a float or an ndarray of t; exactly 1 at t = 0
+        return mu * (t ** (1.0 - alpha)) * mittag_leffler(1.0, 2.0 - alpha, mu * t) + np.exp(2.0 * mu * t)
+
+    def reaction(t: float, u: complex) -> complex:
+        return -u * u
 
     def rhs(t: float, u: complex) -> complex:
-        return -u * u + forcing(t)
+        return reaction(t, u) + forcing(t)
 
     def rhs_du(t: float, u: complex) -> complex:
         return -2.0 * u
 
     return ProblemSpec(alpha=alpha, u0=1.0 + 0.0j, rhs=rhs, rhs_du=rhs_du, exact=exact,
-                       name="nonlinear_square")
+                       name="nonlinear_square", forcing=forcing, reaction=reaction)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +185,11 @@ def run_truncation_study(scheme, alpha: float, degree: int, M_list: Sequence[int
     s = _as_scheme(scheme)
     if not (isinstance(degree, int) and 0 <= degree <= 6):
         raise ConfigError(f"monomial degree must be an integer in [0, 6], got {degree!r}")
+    M_list = sorted(int(M) for M in M_list)
+    if M_list and M_list[0] < s.k:
+        raise ConfigError(f"M must be at least k = {s.k}, got M = {M_list[0]}")
     out = []
-    for M in sorted(int(M) for M in M_list):
+    for M in M_list:
         grid = GridSpec(T=T, M=M)
         ts = grid.times()
         traj = Trajectory(grid=grid, values=(ts ** degree).astype(complex))
@@ -240,6 +241,14 @@ class RunConfig:
     newton: Optional[NewtonConfig]
     problem_label: str
     hold_first_value: bool = False
+
+
+def _reject_repeats(values, where):
+    seen = set()
+    for v in values:
+        if v in seen:
+            raise ConfigError(f"{where} repeats the value {v!r}")
+        seen.add(v)
 
 
 def _reject_unknown(mapping, allowed, where):
@@ -345,6 +354,7 @@ def parse_config(raw: dict) -> RunConfig:
     for a in alphas:
         if not (isinstance(a, (int, float)) and 0.0 < a < 1.0):
             raise ConfigError(f"alpha values must lie in (0, 1), got {a!r}")
+    _reject_repeats(alphas, "alpha")
 
     schemes_raw = raw["schemes"]
     if not (isinstance(schemes_raw, list) and schemes_raw):
@@ -376,6 +386,7 @@ def parse_config(raw: dict) -> RunConfig:
         if not (isinstance(entries, list) and entries
                 and all(type(M) is int and M >= 1 for M in entries)):
             raise ConfigError("grid.M_list must be a nonempty list of positive integers")
+        _reject_repeats(entries, "grid.M_list")
         M_list = tuple(sorted(entries))
 
     starting = raw.get("starting")

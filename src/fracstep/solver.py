@@ -2,11 +2,13 @@
 
 Each step solves omega_0 u_n - dt^alpha f(t_n, u_n) + H_n = 0 with H_n the
 weighted history sum.  Linear right-hand sides f = lam*u + g(t) use the closed
-form (a declared forcing g is evaluated on the whole grid before the first
-step); everything else runs an undamped Newton iteration.  History evaluation
-is a direct O(n) convolution per step (O(M^2) per solve): one BLAS product of
-the reversed weights with the (re, im) pairs of the past samples, in ordinary
-rounded summation: runs repeat exactly on one machine, but may differ across BLAS builds.
+form; everything else runs an undamped Newton iteration.  A declared forcing g
+(f = lam*u + g or f = reaction(t, u) + g) is evaluated on the whole grid before
+the first step, and Newton then evaluates only the reaction, adding g_n to it.
+History evaluation is a direct O(n) convolution per step (O(M^2) per solve):
+one BLAS product of the reversed weights with the (re, im) pairs of the past
+samples, in ordinary rounded summation: runs repeat exactly on one machine, but
+may differ across BLAS builds.
 """
 
 import math
@@ -51,12 +53,16 @@ class PivotBreakdownError(RuntimeError):
 class ProblemSpec:
     """A fractional IVP D^alpha u = rhs(t, u), u(0) = u0 on t >= 0.
 
-    lam marks a linear structure rhs(t, u) = lam * u + g(t) (lam = 0 for a
-    pure-time right-hand side); the solver then steps by the closed form.
-    forcing, allowed only with lam, is g itself on an ndarray of t (an array
-    of the same shape, equal to rhs(t, 0) pointwise); the solver then
-    evaluates g on the whole grid in one call instead of rhs(t, 0) per step.
-    rhs_du is the u-derivative for Newton; omitted means finite differences.
+    rhs is always the full right-hand side.  lam marks a linear structure
+    rhs(t, u) = lam * u + g(t) (lam = 0 for a pure-time right-hand side); the
+    solver then steps by the closed form.  forcing is g(t) on an ndarray of t
+    (an array of the same shape) and needs exactly one of lam or reaction:
+    with lam, rhs = lam*u + forcing; with reaction, rhs(t, u) =
+    reaction(t, u) + forcing(t), and Newton iterates on reaction alone.  Either
+    way the solver evaluates g on the whole grid in one call instead of once
+    per step.  reaction needs forcing.  rhs_du is the u-derivative for Newton
+    (of rhs and reaction alike, since g does not depend on u); omitted means
+    finite differences.
     """
 
     alpha: float
@@ -67,6 +73,7 @@ class ProblemSpec:
     exact: Optional[Callable[[float], complex]] = None
     name: str = ""
     forcing: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    reaction: Optional[Callable[[float, complex], complex]] = None
 
     def __post_init__(self):
         if not (isinstance(self.alpha, (int, float)) and 0.0 < self.alpha < 1.0):
@@ -74,8 +81,13 @@ class ProblemSpec:
         object.__setattr__(self, "u0", require_finite_complex(self.u0, "u0"))
         if self.lam is not None:
             object.__setattr__(self, "lam", require_finite_complex(self.lam, "lam"))
-        elif self.forcing is not None:
-            raise ValueError("forcing is the g of rhs = lam*u + g and needs lam")
+        if self.forcing is None:
+            if self.reaction is not None:
+                raise ValueError("reaction is the u-part of rhs = reaction + forcing and needs forcing")
+        elif self.lam is None and self.reaction is None:
+            raise ValueError("forcing is the g of rhs = lam*u + g or reaction + g and needs lam or reaction")
+        elif self.lam is not None and self.reaction is not None:
+            raise ValueError("forcing takes one of lam or reaction, not both")
         if self.exact is not None:
             at0 = require_finite_complex(self.exact(0.0), "exact(0)")
             if abs(at0 - self.u0) > 1e-12 * (1.0 + abs(self.u0)):
@@ -103,9 +115,10 @@ class SolveReport:
     final_error: Optional[float] = None   # |u(t_M) - u_M|; None without an exact solution
 
 
-def _newton_step(rhs, rhs_du, n, t, guess, omega0, ha, H, cfg):
+def _newton_step(rhs, rhs_du, n, t, guess, omega0, ha, H, cfg, g=0.0):
+    # g is a u-free term added to every rhs value: a declared forcing at t
     un = guess
-    f = rhs(t, un)
+    f = rhs(t, un) + g
     for it in range(1, cfg.max_iter + 1):
         F = omega0 * un - ha * f + H
         if abs(F) <= cfg.tol:
@@ -114,13 +127,13 @@ def _newton_step(rhs, rhs_du, n, t, guess, omega0, ha, H, cfg):
             fu = rhs_du(t, un)
         else:
             step = _FD_STEP_SCALE * (1.0 + abs(un))
-            fu = (rhs(t, un + step) - f) / step
+            fu = (rhs(t, un + step) + g - f) / step
         J = omega0 - ha * fu
         if J == 0:
             raise NewtonDivergedError(n, t, abs(F))
         du = -F / J
         un = un + du
-        f = rhs(t, un)
+        f = rhs(t, un) + g
         if abs(du) <= cfg.tol * (1.0 + abs(un)):
             return un, it
     raise NewtonDivergedError(n, t, abs(omega0 * un - ha * f + H))
@@ -150,10 +163,12 @@ def solve(
     "bootstrap" (build u_1..u_{k-1} with the (1,1) scheme).  Irrelevant for
     k = 1.  Blowup (any |u_n| > 1e30) is flagged on the report, not raised.
 
-    A linear problem (lam set) that declares a forcing has g evaluated on
-    every node in one call before the first step, so an error in g surfaces
-    there, and g is evaluated on the nodes past a non-finite step too.
-    Without one, g = rhs(t_n, 0) is evaluated at each step.
+    A problem that declares a forcing has g evaluated on every node in one
+    call before the first step, so an error in g surfaces there, and g is
+    evaluated on the nodes past a non-finite step too.  The linear path then
+    reads g_n, and Newton evaluates reaction(t_n, u) + g_n in place of rhs.
+    Without a forcing, the linear path evaluates g = rhs(t_n, 0) and Newton
+    evaluates rhs at each step, so nothing is evaluated past a non-finite step.
 
     hold_first_value (degree-1 schemes only): pin u_1 = u_0 and begin
     stepping at n = 2, so the first interval carries no update.  This
@@ -217,7 +232,7 @@ def solve(
     blowup = max_abs > _BLOWUP_THRESHOLD
     rev = np.ascontiguousarray(omega[:0:-1])
     pairs = u.view(np.float64).reshape(-1, 2)
-    rhs = problem.rhs
+    rhs, reaction, rhs_du = problem.rhs, problem.reaction, problem.rhs_du
     for n in range(n_start, grid.M + 1):
         re, im = rev[-n:] @ pairs[:n] + table.starting[n] @ pairs[:k]
         H = complex(re, im)
@@ -225,8 +240,10 @@ def solve(
         if linear:
             # rhs(t, 0) = g(t) for the declared linear structure
             un = (ha * (rhs(t, 0.0 + 0.0j) if g is None else g[n]) - H) / denom
+        elif g is None:
+            un, iters[n] = _newton_step(rhs, rhs_du, n, t, u[n - 1], omega0, ha, H, cfg)
         else:
-            un, iters[n] = _newton_step(rhs, problem.rhs_du, n, t, u[n - 1], omega0, ha, H, cfg)
+            un, iters[n] = _newton_step(reaction, rhs_du, n, t, u[n - 1], omega0, ha, H, cfg, g[n])
         u[n] = un
         a = abs(un)
         if not math.isfinite(a):

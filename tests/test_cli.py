@@ -124,6 +124,14 @@ def test_truncation_rejects_bad_m_list(capsys):
     assert "comma-separated integers" in err
 
 
+def test_truncation_rejects_m_below_k(capsys):
+    rc, out, err = run_cli(capsys, "truncation", "--k", "3", "--i", "3",
+                           "--alpha", "0.5", "--degree", "2", "--M-list", "2")
+    assert rc == 2
+    assert "M must be at least k = 3, got M = 2" in err
+    assert out == ""
+
+
 def test_locus_stdout(capsys):
     rc, out, err = run_cli(capsys, "locus", "--k", "2", "--i", "1",
                            "--alpha", "0.5", "--terms", "200", "--samples", "16")

@@ -1,5 +1,6 @@
 """Tests for builtin problems, study drivers, configuration, and CSV formats."""
 
+import dataclasses
 import io
 import json
 import math
@@ -63,21 +64,25 @@ def test_nonlinear_square_jacobian():
         assert p.rhs_du(0.3, u) == -2.0 * u
 
 
-def test_nonlinear_square_forcing_evaluated_once_per_step(monkeypatch):
-    # Newton calls rhs several times at each t_n; the forcing's
-    # Mittag-Leffler term is computed once per step.
+def test_nonlinear_square_forcing_evaluated_once_per_solve(monkeypatch):
+    # Newton evaluates the reaction several times at each t_n; the forcing's
+    # Mittag-Leffler term is one array call over t_k..t_M before the first step.
     calls = []
     original = harness.mittag_leffler
 
     def counting(alpha, beta, z):
-        calls.append(z)
+        calls.append(np.shape(z) if isinstance(z, np.ndarray) else None)
         return original(alpha, beta, z)
+
+    def rhs(t, u):
+        raise AssertionError("a declared forcing makes Newton call the reaction, not rhs")
 
     monkeypatch.setattr(harness, "mittag_leffler", counting)
     M, k = 64, 2
-    report = solve(nonlinear_square(0.5, -1.0), (2, 2), GridSpec(T=1.0, M=M), starting="exact")
+    problem = dataclasses.replace(nonlinear_square(0.5, -1.0), rhs=rhs)
+    report = solve(problem, (2, 2), GridSpec(T=1.0, M=M), starting="exact")
     assert report.newton_iters.sum() > M - k + 1
-    assert len(calls) == M - k + 1
+    assert calls == [(M - k + 1,)]
 
 
 @pytest.mark.parametrize("problem", [linear_complex(0.6, -1.0 + 0.5j),
@@ -300,11 +305,22 @@ def test_parse_config_expression_problem():
     lambda raw: raw.update(problem={"tag": "nonlinear_square", "mu": False}),
     lambda raw: raw.update(problem={"rhs": {"expr": "-u"}, "u0": True}),
     lambda raw: raw.update(problem={"rhs": {"expr": "-u"}, "u0": False}),
+    lambda raw: raw.update(alpha=[0.5, 0.5]),
+    lambda raw: raw.update(grid={"T": 1.0, "M_list": [32, 64, 64]}),
 ])
 def test_parse_config_rejects(mangle):
     raw = _good_config()
     mangle(raw)
     with pytest.raises(ConfigError):
+        parse_config(raw)
+
+
+@pytest.mark.parametrize("key, value, named", [("alpha", [0.3, 0.7, 0.3], "0.3"),
+                                                ("grid", {"T": 1.0, "M_list": [32, 64, 64]}, "64")])
+def test_parse_config_names_a_repeated_value(key, value, named):
+    raw = _good_config()
+    raw[key] = value
+    with pytest.raises(ConfigError, match=f"repeats the value {named}$"):
         parse_config(raw)
 
 

@@ -244,12 +244,15 @@ ALL_SCHEMES = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-@pytest.mark.parametrize("problem", [mlf_decay(0.5), linear_complex(0.5, -1.0 + 0.5j)],
-                         ids=["mlf_decay", "linear_complex"])
+@pytest.mark.parametrize("problem", [mlf_decay(0.5), linear_complex(0.5, -1.0 + 0.5j),
+                                     nonlinear_square(0.5, -1.0), nonlinear_square(0.5, 1j)],
+                         ids=["mlf_decay", "linear_complex", "nonlinear_real", "nonlinear_imag"])
 def test_declared_forcing_matches_per_node_rhs(problem, scheme):
+    # NumPy's ** and libm's pow may differ in the last bit, nothing more
     grid = GridSpec(T=1.0, M=96)
     vector = solve(problem, scheme, grid).trajectory.values
-    per_node = solve(dataclasses.replace(problem, forcing=None), scheme, grid).trajectory.values
+    per_node = solve(dataclasses.replace(problem, forcing=None, reaction=None), scheme,
+                     grid).trajectory.values
     assert np.all(np.abs(vector - per_node) <= 1e-15 * np.abs(per_node))
 
 
@@ -280,6 +283,13 @@ def test_linear_builtin_evaluates_forcing_once_on_the_grid(monkeypatch, make, sc
 def test_forcing_requires_linear_structure_and_grid_shape():
     with pytest.raises(ValueError, match="needs lam"):
         ProblemSpec(alpha=0.5, u0=1.0, rhs=lambda t, u: -u, forcing=lambda t: 0.0 * t)
+    with pytest.raises(ValueError, match="not both"):
+        ProblemSpec(alpha=0.5, u0=1.0, rhs=lambda t, u: -u, lam=-1.0,
+                    reaction=lambda t, u: -u, forcing=lambda t: 0.0 * t)
+    with pytest.raises(ValueError, match="needs forcing"):
+        ProblemSpec(alpha=0.5, u0=1.0, rhs=lambda t, u: -u, reaction=lambda t, u: -u)
+    with pytest.raises(ValueError, match="needs forcing"):
+        ProblemSpec(alpha=0.5, u0=1.0, rhs=lambda t, u: -u, lam=-1.0, reaction=lambda t, u: -u)
     short = ProblemSpec(alpha=0.5, u0=1.0, rhs=lambda t, u: -u, lam=-1.0,
                         forcing=lambda t: np.zeros(3))
     with pytest.raises(ValueError, match="forcing returned shape"):
