@@ -2,11 +2,12 @@
 
 The three builtin problems all have closed-form solutions on [0, 1]:
 
-  mlf_decay          D^alpha u = -E_alpha(-t^alpha),        u = E_alpha(-t^alpha)
+  mlf_decay          D^alpha u = g(t),                      u = E_alpha(-t^alpha)
   linear_complex     D^alpha u = lam*u + g(t),              u = exp(-t)
   nonlinear_square   D^alpha u = -u^2 + g(t),               u = exp(mu*t)
 
-with g chosen so the stated u solves the equation (E_{1,2-alpha} terms).
+with the forcing g chosen so the stated u solves the equation (g =
+-E_alpha(-t^alpha) for the decay, E_{1,2-alpha} terms for the others).
 Convergence runs record the endpoint error |u(t_M) - u_M| and the dyadic rate
 log2(err_{M/2} / err_M); blowup rows record the overflow magnitude instead.
 """
@@ -68,10 +69,10 @@ def mlf_decay(alpha: float) -> ProblemSpec:
         return -mittag_leffler(alpha, 1.0, -(t ** alpha))
 
     def rhs(t: float, u: complex) -> complex:
-        return forcing(t)
+        return 0j
 
     return ProblemSpec(alpha=alpha, u0=1.0 + 0.0j, rhs=rhs, lam=0.0 + 0.0j, exact=exact,
-                       name="mlf_decay", forcing=forcing)
+                       forcing=forcing)
 
 
 def linear_complex(alpha: float, lam) -> ProblemSpec:
@@ -85,10 +86,10 @@ def linear_complex(alpha: float, lam) -> ProblemSpec:
         return -(t ** (1.0 - alpha)) * mittag_leffler(1.0, 2.0 - alpha, -t) - lam * np.exp(-t)
 
     def rhs(t: float, u: complex) -> complex:
-        return lam * u + forcing(t)
+        return lam * u
 
     return ProblemSpec(alpha=alpha, u0=1.0 + 0.0j, rhs=rhs, lam=lam, exact=exact,
-                       name="linear_complex", forcing=forcing)
+                       forcing=forcing)
 
 
 def nonlinear_square(alpha: float, mu) -> ProblemSpec:
@@ -101,17 +102,14 @@ def nonlinear_square(alpha: float, mu) -> ProblemSpec:
     def forcing(t):   # a float or an ndarray of t; exactly 1 at t = 0
         return mu * (t ** (1.0 - alpha)) * mittag_leffler(1.0, 2.0 - alpha, mu * t) + np.exp(2.0 * mu * t)
 
-    def reaction(t: float, u: complex) -> complex:
-        return -u * u
-
     def rhs(t: float, u: complex) -> complex:
-        return reaction(t, u) + forcing(t)
+        return -u * u
 
     def rhs_du(t: float, u: complex) -> complex:
         return -2.0 * u
 
     return ProblemSpec(alpha=alpha, u0=1.0 + 0.0j, rhs=rhs, rhs_du=rhs_du, exact=exact,
-                       name="nonlinear_square", forcing=forcing, reaction=reaction)
+                       forcing=forcing)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +139,11 @@ def run_convergence(
     """Endpoint errors and dyadic rates over the (scheme, alpha, M) lattice.
 
     Rows keep the caller's order of schemes and alphas; M runs ascending.
+    A repeated alpha or M raises ConfigError: it would repeat rows, and a
+    repeated M would report log2(err/err) = 0 as a measured rate.
     """
+    _reject_repeats(alphas, "alpha")
+    _reject_repeats(M_list, "M_list")
     schemes = [_as_scheme(s) for s in schemes]
     M_list = sorted(int(M) for M in M_list)
     problems = {float(a): problem_for(float(a)) for a in alphas}
@@ -239,7 +241,6 @@ class RunConfig:
     single_M: Optional[int]
     starting: Optional[str]
     newton: Optional[NewtonConfig]
-    problem_label: str
     hold_first_value: bool = False
 
 
@@ -311,13 +312,13 @@ def _expression_problem(spec: dict) -> Callable[[float], ProblemSpec]:
             def exact(t):
                 return exprmod.evaluate(exact_ast, t=t)
 
-        return ProblemSpec(alpha=alpha, u0=u0, rhs=rhs, exact=exact, name="expr")
+        return ProblemSpec(alpha=alpha, u0=u0, rhs=rhs, exact=exact)
 
     return factory
 
 
 def problem_factory(spec: dict):
-    """(factory, label) from the config 'problem' object."""
+    """Problem factory alpha -> ProblemSpec from the config 'problem' object."""
     if not isinstance(spec, dict):
         raise ConfigError(f"problem must be an object, got {type(spec).__name__}")
     if "tag" in spec:
@@ -326,17 +327,17 @@ def problem_factory(spec: dict):
             raise ConfigError(f"unknown problem tag {tag!r}")
         _reject_unknown(spec, _PROBLEM_TAG_KEYS[tag], "problem")
         if tag == "mlf_decay":
-            return mlf_decay, tag
+            return mlf_decay
         if tag == "linear_complex":
             if "lambda" not in spec:
                 raise ConfigError("linear_complex needs a 'lambda' value")
             lam = parse_complex(spec["lambda"])
-            return (lambda a: linear_complex(a, lam)), tag
+            return lambda a: linear_complex(a, lam)
         if "mu" not in spec:
             raise ConfigError("nonlinear_square needs a 'mu' value")
         mu = parse_complex(spec["mu"])
-        return (lambda a: nonlinear_square(a, mu)), tag
-    return _expression_problem(spec), "expr"
+        return lambda a: nonlinear_square(a, mu)
+    return _expression_problem(spec)
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -347,7 +348,7 @@ def parse_config(raw: dict) -> RunConfig:
         if key not in raw:
             raise ConfigError(f"configuration is missing '{key}'")
 
-    factory, label = problem_factory(raw["problem"])
+    factory = problem_factory(raw["problem"])
 
     alpha_raw = raw["alpha"]
     alphas = alpha_raw if isinstance(alpha_raw, list) else [alpha_raw]
@@ -413,7 +414,7 @@ def parse_config(raw: dict) -> RunConfig:
     return RunConfig(problem_for=factory, alphas=tuple(float(a) for a in alphas),
                      schemes=tuple(schemes), T=float(T), M_list=M_list,
                      single_M=single_M, starting=starting, newton=newton,
-                     problem_label=label, hold_first_value=hold)
+                     hold_first_value=hold)
 
 
 def load_config(path) -> RunConfig:

@@ -35,6 +35,12 @@ def _check_alpha(alpha):
     return float(alpha)
 
 
+def _check_n_max(n_max):
+    if not (isinstance(n_max, (int, np.integer)) and not isinstance(n_max, bool) and n_max >= 0):
+        raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
+    return int(n_max)
+
+
 def _check_qr(q, r):
     if not (isinstance(r, (int, np.integer)) and 1 <= r <= 3):
         raise ValueError(f"degree index r must be 1, 2 or 3, got {r!r}")
@@ -131,9 +137,7 @@ class KernelTable:
 def kernel_table(alpha: float, q: int, r: int, n_max: int) -> KernelTable:
     alpha = _check_alpha(alpha)
     q, r = _check_qr(q, r)
-    if not (isinstance(n_max, (int, np.integer)) and n_max >= 0):
-        raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
-    vals = _kernel_values(dbinom_poly(q, r), _power_moments(alpha, int(n_max)), alpha)
+    vals = _kernel_values(dbinom_poly(q, r), _power_moments(alpha, _check_n_max(n_max)), alpha)
     vals.flags.writeable = False
     return KernelTable(alpha=alpha, q=q, r=r, values=vals)
 

@@ -20,7 +20,7 @@ class GridSpec:
     def __post_init__(self):
         if not (isinstance(self.T, (int, float)) and math.isfinite(self.T) and self.T > 0.0):
             raise ValueError(f"horizon T must be positive and finite, got {self.T!r}")
-        if not (isinstance(self.M, int) and self.M >= 1):
+        if not (isinstance(self.M, int) and not isinstance(self.M, bool) and self.M >= 1):
             raise ValueError(f"step count M must be a positive integer, got {self.M!r}")
 
     @property

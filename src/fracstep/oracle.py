@@ -148,18 +148,15 @@ def _jacobi_rule(alpha: float):
     return 0.5 * (x + 1.0), w
 
 
-def oracle_discrete_caputo(interp: PiecewiseInterpolant, alpha: float, n: int | None = None) -> complex:
-    """Quadrature evaluation of D u_n through the composite interpolant.
+def oracle_discrete_caputo(interp: PiecewiseInterpolant, alpha: float) -> complex:
+    """Quadrature evaluation of D u_n, n = interp.n, through the composite interpolant.
 
     Panels j < n use Gauss-Legendre (the kernel is analytic there); the final
     panel extracts the (1-s)^(-alpha) singularity with a Gauss-Jacobi rule.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"fractional order must lie in (0, 1), got {alpha!r}")
-    if n is None:
-        n = interp.n
-    if n != interp.n:
-        raise ValueError(f"interpolant was built for step {interp.n}, asked for {n}")
+    n = interp.n
     gj_s, gj_w = _jacobi_rule(float(alpha))
     parts_re = []
     parts_im = []

@@ -1,10 +1,10 @@
 """Implicit time stepping for D^alpha u = f(t, u), u(0) = u0, 0 < alpha < 1.
 
 Each step solves omega_0 u_n - dt^alpha f(t_n, u_n) + H_n = 0 with H_n the
-weighted history sum.  Linear right-hand sides f = lam*u + g(t) use the closed
-form; everything else runs an undamped Newton iteration.  A declared forcing g
-(f = lam*u + g or f = reaction(t, u) + g) is evaluated on the whole grid before
-the first step, and Newton then evaluates only the reaction, adding g_n to it.
+weighted history sum and f = rhs(t, u) + forcing(t).  The t-only forcing, when
+a problem declares one, is evaluated on the whole grid before the first step.
+A linear rhs (lam*u + rhs(t, 0)) uses the closed form; everything else runs an
+undamped Newton iteration on rhs, adding the forcing at t_n to each value.
 History evaluation is a direct O(n) convolution per step (O(M^2) per solve):
 one BLAS product of the reversed weights with the (re, im) pairs of the past
 samples, in ordinary rounded summation: runs repeat exactly on one machine, but
@@ -51,18 +51,14 @@ class PivotBreakdownError(RuntimeError):
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A fractional IVP D^alpha u = rhs(t, u), u(0) = u0 on t >= 0.
+    """A fractional IVP D^alpha u = rhs(t, u) + forcing(t), u(0) = u0 on t >= 0.
 
-    rhs is always the full right-hand side.  lam marks a linear structure
-    rhs(t, u) = lam * u + g(t) (lam = 0 for a pure-time right-hand side); the
-    solver then steps by the closed form.  forcing is g(t) on an ndarray of t
-    (an array of the same shape) and needs exactly one of lam or reaction:
-    with lam, rhs = lam*u + forcing; with reaction, rhs(t, u) =
-    reaction(t, u) + forcing(t), and Newton iterates on reaction alone.  Either
-    way the solver evaluates g on the whole grid in one call instead of once
-    per step.  reaction needs forcing.  rhs_du is the u-derivative for Newton
-    (of rhs and reaction alike, since g does not depend on u); omitted means
-    finite differences.
+    forcing is an optional u-free part given on an ndarray of t (it returns an
+    array of the same shape); the solver evaluates it on the whole grid in one
+    call, and absent means zero.  lam marks rhs(t, u) = lam * u + rhs(t, 0)
+    (lam = 0 for a u-free rhs); the solver then steps by the closed form.
+    rhs_du is the u-derivative of rhs for Newton; omitted means finite
+    differences.
     """
 
     alpha: float
@@ -71,9 +67,7 @@ class ProblemSpec:
     rhs_du: Optional[Callable[[float, complex], complex]] = None
     lam: Optional[complex] = None
     exact: Optional[Callable[[float], complex]] = None
-    name: str = ""
     forcing: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    reaction: Optional[Callable[[float, complex], complex]] = None
 
     def __post_init__(self):
         if not (isinstance(self.alpha, (int, float)) and 0.0 < self.alpha < 1.0):
@@ -81,13 +75,6 @@ class ProblemSpec:
         object.__setattr__(self, "u0", require_finite_complex(self.u0, "u0"))
         if self.lam is not None:
             object.__setattr__(self, "lam", require_finite_complex(self.lam, "lam"))
-        if self.forcing is None:
-            if self.reaction is not None:
-                raise ValueError("reaction is the u-part of rhs = reaction + forcing and needs forcing")
-        elif self.lam is None and self.reaction is None:
-            raise ValueError("forcing is the g of rhs = lam*u + g or reaction + g and needs lam or reaction")
-        elif self.lam is not None and self.reaction is not None:
-            raise ValueError("forcing takes one of lam or reaction, not both")
         if self.exact is not None:
             at0 = require_finite_complex(self.exact(0.0), "exact(0)")
             if abs(at0 - self.u0) > 1e-12 * (1.0 + abs(self.u0)):
@@ -115,8 +102,8 @@ class SolveReport:
     final_error: Optional[float] = None   # |u(t_M) - u_M|; None without an exact solution
 
 
-def _newton_step(rhs, rhs_du, n, t, guess, omega0, ha, H, cfg, g=0.0):
-    # g is a u-free term added to every rhs value: a declared forcing at t
+def _newton_step(rhs, rhs_du, n, t, guess, omega0, ha, H, cfg, g):
+    # g is the forcing at t, added to every rhs value
     un = guess
     f = rhs(t, un) + g
     for it in range(1, cfg.max_iter + 1):
@@ -163,12 +150,11 @@ def solve(
     "bootstrap" (build u_1..u_{k-1} with the (1,1) scheme).  Irrelevant for
     k = 1.  Blowup (any |u_n| > 1e30) is flagged on the report, not raised.
 
-    A problem that declares a forcing has g evaluated on every node in one
-    call before the first step, so an error in g surfaces there, and g is
-    evaluated on the nodes past a non-finite step too.  The linear path then
-    reads g_n, and Newton evaluates reaction(t_n, u) + g_n in place of rhs.
-    Without a forcing, the linear path evaluates g = rhs(t_n, 0) and Newton
-    evaluates rhs at each step, so nothing is evaluated past a non-finite step.
+    A declared forcing is evaluated on every node in one call before the first
+    step, so an error in it surfaces there, and it is evaluated on the nodes
+    past a non-finite step too.  rhs is evaluated at each step, once as
+    rhs(t_n, 0) on the linear path and at each iterate under Newton, so rhs is
+    never evaluated past a non-finite step.
 
     hold_first_value (degree-1 schemes only): pin u_1 = u_0 and begin
     stepping at n = 2, so the first interval carries no update.  This
@@ -215,35 +201,32 @@ def solve(
             )
 
     n_start = k
-    if hold_first_value and grid.M >= 1:
+    if hold_first_value:
         u[1] = u[0]
         n_start = 2
 
-    g = None
+    g = [0j] * (grid.M + 1)   # the forcing at each t_n, read as Python complex numbers
     if problem.forcing is not None:
-        ts = (np.arange(grid.M + 1) * h)[n_start:]
-        g = np.asarray(problem.forcing(ts), dtype=complex)
-        if g.shape != ts.shape:
-            raise ValueError(f"forcing returned shape {g.shape} for {ts.size} grid times")
-        g = [0j] * n_start + g.tolist()   # read as Python complex numbers
+        ts = grid.times()[n_start:]
+        gs = np.asarray(problem.forcing(ts), dtype=complex)
+        if gs.shape != ts.shape:
+            raise ValueError(f"forcing returned shape {gs.shape} for {ts.size} grid times")
+        g[n_start:] = gs.tolist()
 
     iters = np.zeros(grid.M + 1, dtype=int)
-    max_abs = max(abs(complex(v)) for v in u[:min(n_start, grid.M + 1)])
+    max_abs = max(abs(complex(v)) for v in u[:n_start])
     blowup = max_abs > _BLOWUP_THRESHOLD
     rev = np.ascontiguousarray(omega[:0:-1])
     pairs = u.view(np.float64).reshape(-1, 2)
-    rhs, reaction, rhs_du = problem.rhs, problem.reaction, problem.rhs_du
+    rhs, rhs_du = problem.rhs, problem.rhs_du
     for n in range(n_start, grid.M + 1):
         re, im = rev[-n:] @ pairs[:n] + table.starting[n] @ pairs[:k]
         H = complex(re, im)
         t = n * h
         if linear:
-            # rhs(t, 0) = g(t) for the declared linear structure
-            un = (ha * (rhs(t, 0.0 + 0.0j) if g is None else g[n]) - H) / denom
-        elif g is None:
-            un, iters[n] = _newton_step(rhs, rhs_du, n, t, u[n - 1], omega0, ha, H, cfg)
+            un = (ha * (rhs(t, 0j) + g[n]) - H) / denom
         else:
-            un, iters[n] = _newton_step(reaction, rhs_du, n, t, u[n - 1], omega0, ha, H, cfg, g[n])
+            un, iters[n] = _newton_step(rhs, rhs_du, n, t, u[n - 1], omega0, ha, H, cfg, g[n])
         u[n] = un
         a = abs(un)
         if not math.isfinite(a):

@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from .kernel import _check_alpha
 from .special import binom_series, require_finite_complex
 from .weights import SchemeId, _as_scheme, weight_table
 
@@ -79,10 +80,7 @@ def boundary_locus(scheme, alpha: float, terms: int = _DEFAULT_TERMS, samples: i
     closed (the theta = 2 pi point repeats the first point).
     """
     s = _as_scheme(scheme)
-    if not (isinstance(terms, int) and terms >= 1):
-        raise ValueError(f"terms must be a positive integer, got {terms!r}")
-    if not (isinstance(samples, int) and samples >= 16):
-        raise ValueError(f"samples must be an integer >= 16, got {samples!r}")
+    _check_terms_samples(terms, samples)
     omega = weight_table(s, alpha, terms).omega
     thetas = 2.0 * math.pi * np.arange(samples + 1) / samples
     xi = np.exp(1j * thetas[:-1])
@@ -115,6 +113,13 @@ def _locus_samples(k: int, i: int, alpha: float, terms: int, samples: int):
     return pts
 
 
+def _check_terms_samples(terms, samples):
+    if not (isinstance(terms, int) and not isinstance(terms, bool) and terms >= 1):
+        raise ValueError(f"terms must be a positive integer, got {terms!r}")
+    if not (isinstance(samples, int) and not isinstance(samples, bool) and samples >= 16):
+        raise ValueError(f"samples must be an integer >= 16, got {samples!r}")
+
+
 def _winding_number(points: np.ndarray, z: complex) -> Optional[int]:
     rel = points - z
     turn = np.angle(rel * np.conj(np.roll(rel, 1)))
@@ -140,9 +145,9 @@ def in_stability_region(
     z = 0 is the image of xi = 1 exactly and short-circuits to "outside".
     """
     s = _as_scheme(scheme)
+    alpha = _check_alpha(alpha)
+    _check_terms_samples(terms, samples)
     z = require_finite_complex(z)
-    if not (isinstance(samples, int) and samples >= 16):
-        raise ValueError(f"samples must be an integer >= 16, got {samples!r}")
     if z == 0:
         return RegionVerdict(verdict="outside", margin=0.0, winding=None, samples=0)
 
@@ -150,7 +155,7 @@ def in_stability_region(
     prev: Optional[int] = None
     best_margin = math.inf
     while True:
-        pts = _locus_samples(s.k, s.i, float(alpha), terms, S)
+        pts = _locus_samples(s.k, s.i, alpha, terms, S)
         margin = float(np.abs(pts - z).min())
         best_margin = min(best_margin, margin)
         if margin < _ON_CURVE_TOL:

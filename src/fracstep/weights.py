@@ -20,7 +20,7 @@ from operator import index
 
 import numpy as np
 
-from .kernel import _kernel_values, _power_moments, backward_diff, dbinom_poly
+from .kernel import _check_alpha, _check_n_max, _kernel_values, _power_moments, backward_diff, dbinom_poly
 
 __all__ = [
     "SchemeId",
@@ -46,7 +46,7 @@ class SchemeId:
     i: int
 
     def __post_init__(self):
-        if not (isinstance(self.k, int) and isinstance(self.i, int)):
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (self.k, self.i)):
             raise ValueError(f"scheme indices must be integers, got ({self.k!r}, {self.i!r})")
         if not 1 <= self.i <= self.k <= 3:
             raise ValueError(f"scheme requires 1 <= i <= k <= 3, got (k={self.k}, i={self.i})")
@@ -209,8 +209,4 @@ def weight_table(scheme, alpha: float, n_max: int) -> WeightTable:
     lookup thread-safe.
     """
     s = _as_scheme(scheme)
-    if not (isinstance(alpha, (int, float)) and 0.0 < alpha < 1.0):
-        raise ValueError(f"fractional order must lie in (0, 1), got {alpha!r}")
-    if not (isinstance(n_max, (int, np.integer)) and n_max >= 0):
-        raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
-    return _build(s.k, s.i, float(alpha), int(n_max))
+    return _build(s.k, s.i, _check_alpha(alpha), _check_n_max(n_max))

@@ -1,10 +1,21 @@
 """Fixtures shared by the test modules."""
 
+import dataclasses
 import os
 
 import pytest
 
 import fracstep
+
+
+@pytest.fixture
+def per_node():
+    """p -> the same problem with its forcing folded into rhs, f = rhs + forcing, node by node."""
+
+    def fold(p):
+        return dataclasses.replace(p, rhs=lambda t, u: p.rhs(t, u) + p.forcing(t), forcing=None)
+
+    return fold
 
 
 @pytest.fixture

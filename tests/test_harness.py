@@ -1,6 +1,5 @@
 """Tests for builtin problems, study drivers, configuration, and CSV formats."""
 
-import dataclasses
 import io
 import json
 import math
@@ -40,14 +39,15 @@ from fracstep.harness import (
 # builtin problems
 
 
-def test_mlf_decay_structure():
+def test_mlf_decay_structure(per_node):
     p = mlf_decay(0.4)
     assert p.lam == 0.0
     assert p.u0 == 1.0
     assert p.exact(0.0) == 1.0
     # The right-hand side is pure-time and equals minus the solution.
+    full = per_node(p)
     for t in (0.0, 0.3, 1.0):
-        assert p.rhs(t, 123.4j) == -p.exact(t)
+        assert full.rhs(t, 123.4j) == -p.exact(t)
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.07])
@@ -65,7 +65,7 @@ def test_nonlinear_square_jacobian():
 
 
 def test_nonlinear_square_forcing_evaluated_once_per_solve(monkeypatch):
-    # Newton evaluates the reaction several times at each t_n; the forcing's
+    # Newton evaluates rhs = -u^2 several times at each t_n; the forcing's
     # Mittag-Leffler term is one array call over t_k..t_M before the first step.
     calls = []
     original = harness.mittag_leffler
@@ -74,20 +74,16 @@ def test_nonlinear_square_forcing_evaluated_once_per_solve(monkeypatch):
         calls.append(np.shape(z) if isinstance(z, np.ndarray) else None)
         return original(alpha, beta, z)
 
-    def rhs(t, u):
-        raise AssertionError("a declared forcing makes Newton call the reaction, not rhs")
-
     monkeypatch.setattr(harness, "mittag_leffler", counting)
     M, k = 64, 2
-    problem = dataclasses.replace(nonlinear_square(0.5, -1.0), rhs=rhs)
-    report = solve(problem, (2, 2), GridSpec(T=1.0, M=M), starting="exact")
+    report = solve(nonlinear_square(0.5, -1.0), (2, 2), GridSpec(T=1.0, M=M), starting="exact")
     assert report.newton_iters.sum() > M - k + 1
     assert calls == [(M - k + 1,)]
 
 
 @pytest.mark.parametrize("problem", [linear_complex(0.6, -1.0 + 0.5j),
                                      nonlinear_square(0.6, 0.5 + 0.5j)])
-def test_manufactured_forcing_consistency(problem):
+def test_manufactured_forcing_consistency(problem, per_node):
     """The forcing must make the stated exact solution solve the equation.
 
     Checked against the quadrature oracle applied to the exact solution: the
@@ -95,11 +91,12 @@ def test_manufactured_forcing_consistency(problem):
     rhs(t, u(t)) up to the cubic interpolation error.
     """
     grid = GridSpec(T=1.0, M=48)
+    full = per_node(problem)
     samples = np.array([problem.exact(t) for t in grid.times()])
     for n in (8, 24, 48):
         itp = build_interpolant(SchemeId(3, 3), grid, samples, n)
         lhs = oracle_discrete_caputo(itp, problem.alpha)
-        rhs = problem.rhs(grid.node(n), problem.exact(grid.node(n)))
+        rhs = full.rhs(grid.node(n), problem.exact(grid.node(n)))
         assert abs(lhs - rhs) < 2e-6
 
 
@@ -128,6 +125,17 @@ def test_run_convergence_blowup_rows():
     assert all(r.rate is None for r in rows)
     # blown runs report the overflow magnitude, not an error
     assert all(r.abs_err > 1e30 for r in rows)
+
+
+@pytest.mark.parametrize("alphas, M_list, repeated", [
+    ([0.5, 0.5], [8, 16], "alpha"),
+    ([0.5], [8, 8], "M_list"),
+    ([0.5, 0.5], [8, 8], "alpha"),
+], ids=["alpha", "M", "both"])
+def test_run_convergence_rejects_repeats(alphas, M_list, repeated):
+    # a repeated M would read log2(err/err) = 0 as a measured rate
+    with pytest.raises(ConfigError, match=f"{repeated} repeats"):
+        run_convergence(mlf_decay, [(1, 1)], alphas, M_list)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +221,7 @@ def test_parse_config_happy_path():
     assert cfg.T == 1.0
     assert cfg.starting is None
     assert cfg.newton is None
-    assert cfg.problem_label == "mlf_decay"
+    assert cfg.problem_for is mlf_decay
     assert cfg.hold_first_value is False
     problem = cfg.problem_for(0.3)
     assert problem.alpha == 0.3
@@ -247,7 +255,6 @@ def test_parse_config_expression_problem():
         "grid": {"T": 1.0, "M": 8},
     }
     cfg = parse_config(raw)
-    assert cfg.problem_label == "expr"
     p = cfg.problem_for(0.5)
     assert p.u0 == 1.0  # evaluated from exact at t = 0
     assert p.rhs(0.0, 2.0) == pytest.approx(-1.0)
@@ -332,8 +339,7 @@ def test_parse_config_not_an_object():
 def test_load_config(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(_good_config()))
-    cfg = load_config(path)
-    assert cfg.problem_label == "mlf_decay"
+    assert load_config(path) == parse_config(_good_config())
 
     bad = tmp_path / "bad.json"
     bad.write_text("{ nope")

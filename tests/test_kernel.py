@@ -190,3 +190,5 @@ def test_kernel_argument_validation():
         kernel_table(0.5, 1, 1, 1.5)
     with pytest.raises(ValueError):
         kernel_table(0.5, 1, 1, -1)
+    with pytest.raises(ValueError):
+        kernel_table(0.5, 1, 1, True)

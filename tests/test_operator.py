@@ -29,6 +29,8 @@ def test_gridspec_basics():
         GridSpec(T=0.0, M=4)
     with pytest.raises(ValueError):
         GridSpec(T=1.0, M=0)
+    with pytest.raises(ValueError):
+        GridSpec(T=1.0, M=True)
 
 
 def test_trajectory_validation():

@@ -133,8 +133,6 @@ def test_oracle_argument_validation():
     with pytest.raises(ValueError):
         oracle_discrete_caputo(itp, 1.2)
     with pytest.raises(ValueError):
-        oracle_discrete_caputo(itp, 0.5, n=4)
-    with pytest.raises(ValueError):
         build_interpolant(SchemeId(2, 1), g, np.ones(3), 5)
 
 

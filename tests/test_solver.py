@@ -66,9 +66,9 @@ def test_linear_path_matches_forced_newton():
     problem = linear_complex(0.5, -1.0)
     grid = GridSpec(T=1.0, M=16)
     direct = solve(problem, (2, 1), grid)
-    # Without the declared linear structure (lam and its forcing g) the same
-    # problem steps by Newton.
-    newton = solve(dataclasses.replace(problem, lam=None, forcing=None), (2, 1), grid,
+    # Without the declared linear structure lam the same problem, forcing and
+    # all, steps by Newton.
+    newton = solve(dataclasses.replace(problem, lam=None), (2, 1), grid,
                    newton=NewtonConfig(tol=1e-15))
     dev = np.max(np.abs(direct.trajectory.values - newton.trajectory.values))
     assert dev <= 1e-12
@@ -107,7 +107,10 @@ def test_newton_divergence_reported():
 
 
 def _reference_linear_solve(problem, scheme, grid):
-    """Exact-started closed-form stepping with an exactly rounded history sum."""
+    """Exact-started closed-form stepping with an exactly rounded history sum.
+
+    problem states its whole right-hand side in rhs (no forcing).
+    """
     table = weight_table(scheme, problem.alpha, grid.M)
     k, h = table.scheme.k, grid.dt
     ha = h ** problem.alpha
@@ -126,10 +129,10 @@ def _reference_linear_solve(problem, scheme, grid):
     (linear_complex(0.5, -1.0), (2, 1)),
     (linear_complex(0.3, 2.0 + 1.0j), (3, 2)),
 ])
-def test_history_sum_matches_exactly_rounded_reference(problem, scheme):
+def test_history_sum_matches_exactly_rounded_reference(problem, scheme, per_node):
     grid = GridSpec(T=1.0, M=2048)
     got = solve(problem, scheme, grid, starting="exact").trajectory.values
-    ref = _reference_linear_solve(problem, scheme, grid)
+    ref = _reference_linear_solve(per_node(problem), scheme, grid)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -214,6 +217,8 @@ def test_problem_spec_validation():
     with pytest.raises(ValueError):
         ProblemSpec(alpha=0.5, u0=1.0, rhs=lambda t, u: -u,
                     exact=lambda t: 2.0 + t)
+    assert [f.name for f in dataclasses.fields(ProblemSpec)] == [
+        "alpha", "u0", "rhs", "rhs_du", "lam", "exact", "forcing"]
 
 
 def test_report_error_array():
@@ -247,13 +252,27 @@ ALL_SCHEMES = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]
 @pytest.mark.parametrize("problem", [mlf_decay(0.5), linear_complex(0.5, -1.0 + 0.5j),
                                      nonlinear_square(0.5, -1.0), nonlinear_square(0.5, 1j)],
                          ids=["mlf_decay", "linear_complex", "nonlinear_real", "nonlinear_imag"])
-def test_declared_forcing_matches_per_node_rhs(problem, scheme):
+def test_declared_forcing_matches_per_node_rhs(problem, scheme, per_node):
     # NumPy's ** and libm's pow may differ in the last bit, nothing more
     grid = GridSpec(T=1.0, M=96)
     vector = solve(problem, scheme, grid).trajectory.values
-    per_node = solve(dataclasses.replace(problem, forcing=None, reaction=None), scheme,
-                     grid).trajectory.values
-    assert np.all(np.abs(vector - per_node) <= 1e-15 * np.abs(per_node))
+    folded = solve(per_node(problem), scheme, grid).trajectory.values
+    assert np.all(np.abs(vector - folded) <= 1e-15 * np.abs(folded))
+
+
+@pytest.mark.parametrize("lam", [True, False], ids=["lam", "no_lam"])
+@pytest.mark.parametrize("forcing", [True, False], ids=["forcing", "no_forcing"])
+def test_lam_and_forcing_combine_freely(lam, forcing, per_node):
+    # lam only selects the closed-form step, and forcing may be folded into rhs:
+    # all four declarations of the same problem give the same trajectory.
+    problem = linear_complex(0.5, -1.0 + 0.5j)
+    reference = solve(problem, (2, 2), GridSpec(T=1.0, M=64)).trajectory.values
+    variant = problem if forcing else per_node(problem)
+    if not lam:
+        variant = dataclasses.replace(variant, lam=None)
+    got = solve(variant, (2, 2), GridSpec(T=1.0, M=64), newton=NewtonConfig(tol=1e-15))
+    assert np.max(np.abs(got.trajectory.values - reference)) <= 1e-12
+    assert (got.newton_iters.max() == 0) == lam
 
 
 @pytest.mark.parametrize("make, scalar_calls", [(lambda: mlf_decay(0.5), 3),
@@ -269,10 +288,7 @@ def test_linear_builtin_evaluates_forcing_once_on_the_grid(monkeypatch, make, sc
         calls.append(np.shape(z) if isinstance(z, np.ndarray) else None)
         return series(alpha, beta, z)
 
-    def rhs(t, u):
-        raise AssertionError("a declared forcing makes the step loop skip rhs")
-
-    problem = dataclasses.replace(make(), rhs=rhs)
+    problem = make()   # built first: ProblemSpec checks exact(0)
     monkeypatch.setattr(harness, "mittag_leffler", counted)
     solve(problem, (3, 3), GridSpec(T=1.0, M=64))
     # the forcing at t_3..t_64; the exact solution at t_1, t_2 and t_64
@@ -280,16 +296,7 @@ def test_linear_builtin_evaluates_forcing_once_on_the_grid(monkeypatch, make, sc
     assert calls.count(None) == scalar_calls
 
 
-def test_forcing_requires_linear_structure_and_grid_shape():
-    with pytest.raises(ValueError, match="needs lam"):
-        ProblemSpec(alpha=0.5, u0=1.0, rhs=lambda t, u: -u, forcing=lambda t: 0.0 * t)
-    with pytest.raises(ValueError, match="not both"):
-        ProblemSpec(alpha=0.5, u0=1.0, rhs=lambda t, u: -u, lam=-1.0,
-                    reaction=lambda t, u: -u, forcing=lambda t: 0.0 * t)
-    with pytest.raises(ValueError, match="needs forcing"):
-        ProblemSpec(alpha=0.5, u0=1.0, rhs=lambda t, u: -u, reaction=lambda t, u: -u)
-    with pytest.raises(ValueError, match="needs forcing"):
-        ProblemSpec(alpha=0.5, u0=1.0, rhs=lambda t, u: -u, lam=-1.0, reaction=lambda t, u: -u)
+def test_forcing_must_match_the_grid_shape():
     short = ProblemSpec(alpha=0.5, u0=1.0, rhs=lambda t, u: -u, lam=-1.0,
                         forcing=lambda t: np.zeros(3))
     with pytest.raises(ValueError, match="forcing returned shape"):

@@ -109,6 +109,13 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         boundary_locus((1, 1), 0.5, terms=0)
     with pytest.raises(ValueError):
+        boundary_locus((1, 1), 0.5, terms=True)
+    # alpha and terms are checked before the z = 0 shortcut
+    with pytest.raises(ValueError):
+        in_stability_region((1, 1), 1.5, 0)
+    with pytest.raises(ValueError):
+        in_stability_region((1, 1), 0.5, 0, terms=True)
+    with pytest.raises(ValueError):
         boundary_locus((1, 1), 0.5, samples=15)
     with pytest.raises(ValueError):
         in_stability_region((1, 1), 0.5, -1.0, samples=8)

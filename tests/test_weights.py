@@ -28,6 +28,8 @@ def test_scheme_id_validation():
             SchemeId(*bad)
     with pytest.raises(ValueError):
         SchemeId(1.0, 1)
+    with pytest.raises(ValueError):
+        SchemeId(True, 1)
 
 
 def test_degree_one_closed_form():
@@ -149,6 +151,8 @@ def test_weight_table_argument_validation():
         weight_table(SchemeId(1, 1), 1.0, 4)
     with pytest.raises(ValueError):
         weight_table(SchemeId(1, 1), 0.5, -1)
+    with pytest.raises(ValueError):
+        weight_table(SchemeId(1, 1), 0.5, True)
     for bad in ("nonsense", (1.5, 1), (1,), (True, 1)):
         with pytest.raises(ValueError):
             weight_table(bad, 0.5, 4)
