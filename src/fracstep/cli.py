@@ -74,23 +74,14 @@ def _scheme_of(args) -> SchemeId:
     return SchemeId(args.k, args.i)
 
 
-def _check_alpha(alpha: float) -> float:
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    return alpha
-
-
 # ---------------------------------------------------------------------------
 # subcommand bodies
 
 def _cmd_weights(args) -> int:
-    alpha = _check_alpha(args.alpha)
-    if args.n_max < 0:
-        raise ValueError(f"--n-max must be nonnegative, got {args.n_max}")
     if args.dump_kernel:
         if args.q is None or args.r is None:
             raise ValueError("--dump-kernel needs both --q and --r")
-        table = kernel_table(alpha, args.q, args.r, args.n_max)
+        table = kernel_table(args.alpha, args.q, args.r, args.n_max)
 
         def render(fh):
             fh.write("n,value\n")
@@ -101,7 +92,7 @@ def _cmd_weights(args) -> int:
         return 0
 
     scheme = _scheme_of(args)
-    table = weight_table(scheme, alpha, args.n_max)
+    table = weight_table(scheme, args.alpha, args.n_max)
 
     def render(fh):
         fh.write("n,omega\n")
@@ -144,9 +135,8 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_truncation(args) -> int:
-    alpha = _check_alpha(args.alpha)
     M_list = _parse_int_list(args.M_list, "--M-list")
-    samples = run_truncation_study(_scheme_of(args), alpha, args.degree, M_list)
+    samples = run_truncation_study(_scheme_of(args), args.alpha, args.degree, M_list)
 
     def render(fh):
         fh.write("k,i,alpha,M,max_abs,origin_max,tail_max\n")
@@ -160,8 +150,7 @@ def _cmd_truncation(args) -> int:
 
 
 def _cmd_locus(args) -> int:
-    alpha = _check_alpha(args.alpha)
-    curve = boundary_locus(_scheme_of(args), alpha, terms=args.terms, samples=args.samples)
+    curve = boundary_locus(_scheme_of(args), args.alpha, terms=args.terms, samples=args.samples)
 
     def render(fh):
         fh.write("theta,re,im\n")
@@ -173,9 +162,7 @@ def _cmd_locus(args) -> int:
 
 
 def _cmd_member(args) -> int:
-    alpha = _check_alpha(args.alpha)
-    z = parse_complex(args.z)
-    verdict = in_stability_region(_scheme_of(args), alpha, z)
+    verdict = in_stability_region(_scheme_of(args), args.alpha, parse_complex(args.z))
     print(f"{verdict.verdict},{format_float(verdict.margin)}")
     return 2 if verdict.verdict == "boundary" else 0
 

@@ -10,6 +10,11 @@ with the forcing g chosen so the stated u solves the equation (g =
 -E_alpha(-t^alpha) for the decay, E_{1,2-alpha} terms for the others).
 Convergence runs record the endpoint error |u(t_M) - u_M| and the dyadic rate
 log2(err_{M/2} / err_M); blowup rows record the overflow magnitude instead.
+
+parse_config checks a configuration's structure (JSON shape, unknown keys,
+repeated values, `starting`, `hold_first_value`) itself and leaves the value
+rules to the library's constructors: require_alpha, SchemeId, GridSpec and
+NewtonConfig; a ValueError from any of them becomes a ConfigError.
 """
 
 import cmath
@@ -25,7 +30,7 @@ from . import expr as exprmod
 from .operator import GridSpec, Trajectory, apply_discrete_caputo
 from .oracle import caputo_monomial
 from .solver import NewtonConfig, ProblemSpec, SolveReport, solve
-from .special import mittag_leffler, require_finite_complex
+from .special import mittag_leffler, require_alpha, require_count, require_finite_complex
 from .weights import _as_scheme, weight_table
 
 __all__ = [
@@ -145,7 +150,7 @@ def run_convergence(
     _reject_repeats(alphas, "alpha")
     _reject_repeats(M_list, "M_list")
     schemes = [_as_scheme(s) for s in schemes]
-    M_list = sorted(int(M) for M in M_list)
+    grids = sorted((GridSpec(T=T, M=M) for M in M_list), key=lambda g: g.M)
     problems = {float(a): problem_for(float(a)) for a in alphas}
     if any(p.exact is None for p in problems.values()):
         raise ValueError("a convergence run needs a problem with an exact solution")
@@ -153,15 +158,15 @@ def run_convergence(
     for s in schemes:
         for a in alphas:
             prev_err = None
-            for M in M_list:
-                report = solve(problems[float(a)], s, GridSpec(T=T, M=M), starting=starting,
+            for grid in grids:
+                report = solve(problems[float(a)], s, grid, starting=starting,
                                newton=newton, hold_first_value=hold_first_value)
                 blown = report.blowup
                 err = report.max_abs_u if blown else report.final_error
                 rate = None
                 if not blown and prev_err is not None and err > 0.0 and prev_err > 0.0:
                     rate = math.log2(prev_err / err)
-                rows.append(ConvergenceRow(alpha=float(a), k=s.k, i=s.i, M=M,
+                rows.append(ConvergenceRow(alpha=float(a), k=s.k, i=s.i, M=grid.M,
                                            abs_err=err, rate=rate, blowup=blown))
                 prev_err = None if blown else err
     return rows
@@ -185,14 +190,16 @@ def run_truncation_study(scheme, alpha: float, degree: int, M_list: Sequence[int
                          T: float = 1.0) -> list:
     """tau_n = D(t^degree)_n - analytic Caputo value, tracked over M."""
     s = _as_scheme(scheme)
-    if not (isinstance(degree, int) and 0 <= degree <= 6):
-        raise ConfigError(f"monomial degree must be an integer in [0, 6], got {degree!r}")
-    M_list = sorted(int(M) for M in M_list)
-    if M_list and M_list[0] < s.k:
-        raise ConfigError(f"M must be at least k = {s.k}, got M = {M_list[0]}")
+    try:
+        degree = require_count(degree, "degree", 0, 6)
+        grids = sorted((GridSpec(T=T, M=M) for M in M_list), key=lambda g: g.M)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if grids and grids[0].M < s.k:
+        raise ConfigError(f"M must be at least k = {s.k}, got M = {grids[0].M}")
     out = []
-    for M in M_list:
-        grid = GridSpec(T=T, M=M)
+    for grid in grids:
+        M = grid.M
         ts = grid.times()
         traj = Trajectory(grid=grid, values=(ts ** degree).astype(complex))
         table = weight_table(s, alpha, M)
@@ -341,6 +348,7 @@ def problem_factory(spec: dict):
 
 
 def parse_config(raw: dict) -> RunConfig:
+    """RunConfig from a decoded JSON object; any invalid entry raises ConfigError."""
     if not isinstance(raw, dict):
         raise ConfigError("configuration must be a JSON object")
     _reject_unknown(raw, _TOP_KEYS, "configuration")
@@ -351,70 +359,52 @@ def parse_config(raw: dict) -> RunConfig:
     factory = problem_factory(raw["problem"])
 
     alpha_raw = raw["alpha"]
-    alphas = alpha_raw if isinstance(alpha_raw, list) else [alpha_raw]
-    for a in alphas:
-        if not (isinstance(a, (int, float)) and 0.0 < a < 1.0):
-            raise ConfigError(f"alpha values must lie in (0, 1), got {a!r}")
-    _reject_repeats(alphas, "alpha")
-
+    alpha_list = alpha_raw if isinstance(alpha_raw, list) else [alpha_raw]
+    if not alpha_list:
+        raise ConfigError("alpha must be a number or a nonempty list of numbers")
     schemes_raw = raw["schemes"]
     if not (isinstance(schemes_raw, list) and schemes_raw):
         raise ConfigError("schemes must be a nonempty list of [k, i] pairs")
-    schemes = []
-    for entry in schemes_raw:
-        try:
-            schemes.append(_as_scheme(entry))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
 
     grid = raw["grid"]
     if not isinstance(grid, dict):
         raise ConfigError("grid must be an object")
     _reject_unknown(grid, _GRID_KEYS, "grid")
-    T = grid.get("T")
-    if not (isinstance(T, (int, float)) and not isinstance(T, bool) and math.isfinite(T) and T > 0):
-        raise ConfigError("grid.T must be a positive finite number")
     if ("M" in grid) == ("M_list" in grid):
         raise ConfigError("grid needs exactly one of 'M' or 'M_list'")
-    single_M = None
-    if "M" in grid:
-        if not (type(grid["M"]) is int and grid["M"] >= 1):   # JSON true is not a count
-            raise ConfigError("grid.M must be a positive integer")
-        single_M = grid["M"]
-        M_list = (grid["M"],)
-    else:
-        entries = grid["M_list"]
-        if not (isinstance(entries, list) and entries
-                and all(type(M) is int and M >= 1 for M in entries)):
-            raise ConfigError("grid.M_list must be a nonempty list of positive integers")
-        _reject_repeats(entries, "grid.M_list")
-        M_list = tuple(sorted(entries))
+    M_raw = [grid["M"]] if "M" in grid else grid["M_list"]
+    if not (isinstance(M_raw, list) and M_raw):
+        raise ConfigError("grid.M_list must be a nonempty list")
 
     starting = raw.get("starting")
     if starting is not None and starting not in ("exact", "bootstrap"):
         raise ConfigError(f"starting must be 'exact' or 'bootstrap', got {starting!r}")
-
     hold = raw.get("hold_first_value", False)
     if not isinstance(hold, bool):
         raise ConfigError("hold_first_value must be a boolean")
+    nraw = raw.get("newton", {})
+    if not isinstance(nraw, dict):
+        raise ConfigError("newton must be an object")
+    _reject_unknown(nraw, _NEWTON_KEYS, "newton")
+
+    # the value rules belong to the library's constructors; a violation is a config error
+    try:
+        alphas = tuple(require_alpha(a) for a in alpha_list)
+        schemes = tuple(_as_scheme(entry) for entry in schemes_raw)
+        grids = [GridSpec(T=grid.get("T"), M=M) for M in M_raw]
+        newton = NewtonConfig(**nraw) if "newton" in raw else None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    M_list = tuple(sorted(g.M for g in grids))
+    _reject_repeats(alphas, "alpha")
+    _reject_repeats(M_list, "grid.M_list")
     if hold and any(s.k != 1 for s in schemes):
         raise ConfigError("hold_first_value applies only to k = 1 schemes")
 
-    newton = None
-    if "newton" in raw:
-        nraw = raw["newton"]
-        if not isinstance(nraw, dict):
-            raise ConfigError("newton must be an object")
-        _reject_unknown(nraw, _NEWTON_KEYS, "newton")
-        try:
-            newton = NewtonConfig(tol=nraw.get("tol", 1e-13), max_iter=nraw.get("max_iter", 50))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-
-    return RunConfig(problem_for=factory, alphas=tuple(float(a) for a in alphas),
-                     schemes=tuple(schemes), T=float(T), M_list=M_list,
-                     single_M=single_M, starting=starting, newton=newton,
-                     hold_first_value=hold)
+    return RunConfig(problem_for=factory, alphas=alphas, schemes=schemes,
+                     T=float(grids[0].T), M_list=M_list,
+                     single_M=M_list[0] if "M" in grid else None, starting=starting,
+                     newton=newton, hold_first_value=hold)
 
 
 def load_config(path) -> RunConfig:

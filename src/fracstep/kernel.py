@@ -8,6 +8,10 @@ with C the generalized binomial coefficient, q the interpolation offset and r th
 polynomial degree.  Everything the weight lists need reduces to power moments
 J_m(n) = int_0^1 (n+1-s)^(-alpha) s^m ds for m <= 2: a Beta-function closed form
 at n = 0 (endpoint singularity) and Gauss-Legendre quadrature for n >= 1.
+
+Arguments follow the shared input rules of special: q, r, n_max, n and the
+difference order are integers (require_count, so never a bool), alpha lies
+in (0, 1) (require_alpha).
 """
 
 import math
@@ -15,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+from .special import require_alpha, require_count
 
 __all__ = [
     "dbinom_poly",
@@ -29,33 +35,13 @@ _GL_WS = 0.5 * _GL_W
 _GL_WM = np.stack([_GL_WS, _GL_WS * _GL_S, _GL_WS * (_GL_S * _GL_S)])   # row m: w_j s_j^m
 
 
-def _check_alpha(alpha):
-    if not (isinstance(alpha, (int, float)) and 0.0 < alpha < 1.0):
-        raise ValueError(f"fractional order must lie in (0, 1), got {alpha!r}")
-    return float(alpha)
-
-
-def _check_n_max(n_max):
-    if not (isinstance(n_max, (int, np.integer)) and not isinstance(n_max, bool) and n_max >= 0):
-        raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
-    return int(n_max)
-
-
-def _check_qr(q, r):
-    if not (isinstance(r, (int, np.integer)) and 1 <= r <= 3):
-        raise ValueError(f"degree index r must be 1, 2 or 3, got {r!r}")
-    if not (isinstance(q, (int, np.integer)) and 1 <= q <= 3):
-        raise ValueError(f"offset index q must be 1, 2 or 3, got {q!r}")
-    return int(q), int(r)
-
-
 def dbinom_poly(q: int, r: int) -> list:
     """Coefficients (ascending powers of s) of d/ds C(s - q + r - 1, r).
 
     Exact rational arithmetic, returned as floats.  The result has r
     coefficients, i.e. degree r - 1.
     """
-    q, r = _check_qr(q, r)
+    q, r = require_count(q, "q", 1, 3), require_count(r, "r", 1, 3)
     # C(x, r) with x = s - q + r - 1 is prod_{l=0}^{r-1} (s - (q - r + 1 + l)) / r!
     poly = [Fraction(1)]
     for l in range(r):
@@ -126,20 +112,19 @@ class KernelTable:
 
     def value(self, n: int) -> float:
         """I_{n,q}^r for integer n <= n_max; 0.0 for n < 0."""
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n > self.n_max:
-            raise ValueError(f"kernel value defined for integer n <= {self.n_max} "
-                             f"(0 for n < 0), got {n!r}")
+        n = require_count(n, "n", None, self.n_max)
         if n < 0:
             return 0.0
         return float(self.values[n])
 
 
 def kernel_table(alpha: float, q: int, r: int, n_max: int) -> KernelTable:
-    alpha = _check_alpha(alpha)
-    q, r = _check_qr(q, r)
-    vals = _kernel_values(dbinom_poly(q, r), _power_moments(alpha, _check_n_max(n_max)), alpha)
+    """I_{n,q}^r for n = 0..n_max, with 1 <= q, r <= 3 and n_max >= 0."""
+    alpha = require_alpha(alpha)
+    c = dbinom_poly(q, r)
+    vals = _kernel_values(c, _power_moments(alpha, require_count(n_max, "n_max")), alpha)
     vals.flags.writeable = False
-    return KernelTable(alpha=alpha, q=q, r=r, values=vals)
+    return KernelTable(alpha=alpha, q=int(q), r=int(r), values=vals)
 
 
 def _kernel_values(c, J, alpha):
@@ -158,14 +143,13 @@ def backward_diff(seq, order: int) -> np.ndarray:
     out[n] = sum_j (-1)^j C(order, j) seq[n-j], reading seq[m] = 0 for m < 0,
     so e.g. backward_diff([1, 1, 1], 1) == [1, 0, 0].
     """
-    if not (isinstance(order, (int, np.integer)) and order >= 1):
-        raise ValueError(f"difference order must be a positive integer, got {order!r}")
+    order = require_count(order, "order", 1)
     a = np.asarray(seq)
     if a.ndim != 1 or a.size == 0:
         raise ValueError("backward_diff expects a nonempty 1-d sequence")
     if not np.issubdtype(a.dtype, np.number):
         raise ValueError(f"backward_diff expects numeric entries, got dtype {a.dtype}")
     out = a.astype(np.result_type(a.dtype, float), copy=True)
-    for _ in range(int(order)):
+    for _ in range(order):
         out[1:] = out[1:] - out[:-1]
     return out

@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .special import require_count
 from .weights import WeightTable
 
 __all__ = ["GridSpec", "Trajectory", "apply_discrete_caputo", "compensated_cdot"]
@@ -12,16 +13,16 @@ __all__ = ["GridSpec", "Trajectory", "apply_discrete_caputo", "compensated_cdot"
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid t_n = n * T / M on [0, T]."""
+    """Uniform grid t_n = n * T / M on [0, T]: T a positive finite number, M a count >= 1."""
 
     T: float
     M: int
 
     def __post_init__(self):
-        if not (isinstance(self.T, (int, float)) and math.isfinite(self.T) and self.T > 0.0):
-            raise ValueError(f"horizon T must be positive and finite, got {self.T!r}")
-        if not (isinstance(self.M, int) and not isinstance(self.M, bool) and self.M >= 1):
-            raise ValueError(f"step count M must be a positive integer, got {self.M!r}")
+        T = self.T
+        if not (isinstance(T, (int, float)) and not isinstance(T, bool) and math.isfinite(T) and T > 0.0):
+            raise ValueError(f"horizon T must be positive and finite, got {T!r}")
+        object.__setattr__(self, "M", require_count(self.M, "M", 1))
 
     @property
     def dt(self) -> float:
@@ -31,9 +32,7 @@ class GridSpec:
         return np.arange(self.M + 1) * self.dt
 
     def node(self, n: int) -> float:
-        if not 0 <= n <= self.M:
-            raise ValueError(f"node index out of range: {n} not in [0, {self.M}]")
-        return n * self.dt
+        return require_count(n, "n", 0, self.M) * self.dt
 
 
 @dataclass(frozen=True)
@@ -82,9 +81,7 @@ def apply_discrete_caputo(table: WeightTable, traj: Trajectory, n: int) -> compl
     Direct O(n) evaluation; all weighted samples go through one compensated sum.
     """
     k = table.scheme.k
-    if not (isinstance(n, (int, np.integer)) and k <= n <= traj.grid.M):
-        raise ValueError(f"operator defined for k={k} <= n <= M={traj.grid.M}, got n={n!r}")
-    n = int(n)
+    n = require_count(n, "n", k, traj.grid.M)
     if table.n_max < n:
         raise ValueError(f"weight table covers n <= {table.n_max}, needs {n}")
     u = traj.values

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .operator import GridSpec
-from .special import gamma_real
+from .special import gamma_real, require_alpha, require_count
 from .weights import _as_scheme, piece_layout
 
 __all__ = [
@@ -35,10 +35,7 @@ _GL_WS = 0.5 * _GL_W
 
 def caputo_monomial(m: int, alpha: float, t: float) -> float:
     """Caputo derivative of t^m: Gamma(m+1)/Gamma(m+1-alpha) * t^(m-alpha)."""
-    if not (isinstance(m, (int, np.integer)) and m >= 0):
-        raise ValueError(f"monomial degree must be a nonnegative integer, got {m!r}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"fractional order must lie in (0, 1), got {alpha!r}")
+    m, alpha = require_count(m, "m"), require_alpha(alpha)
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t!r}")
     if m == 0:
@@ -138,7 +135,8 @@ class PiecewiseInterpolant:
 def build_interpolant(scheme, grid: GridSpec, samples, n: int) -> PiecewiseInterpolant:
     """Step-n interpolant of a scheme, or of the auxiliary label (2, 3)."""
     k, i = (2, 3) if scheme == (2, 3) else astuple(_as_scheme(scheme))
-    return PiecewiseInterpolant(k=k, i=i, grid=grid, samples=np.asarray(samples), n=int(n))
+    return PiecewiseInterpolant(k=k, i=i, grid=grid, samples=np.asarray(samples),
+                                n=require_count(n, "n"))
 
 
 @lru_cache(maxsize=16)
@@ -154,10 +152,9 @@ def oracle_discrete_caputo(interp: PiecewiseInterpolant, alpha: float) -> comple
     Panels j < n use Gauss-Legendre (the kernel is analytic there); the final
     panel extracts the (1-s)^(-alpha) singularity with a Gauss-Jacobi rule.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"fractional order must lie in (0, 1), got {alpha!r}")
+    alpha = require_alpha(alpha)
     n = interp.n
-    gj_s, gj_w = _jacobi_rule(float(alpha))
+    gj_s, gj_w = _jacobi_rule(alpha)
     parts_re = []
     parts_im = []
     for j in range(1, n + 1):

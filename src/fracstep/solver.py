@@ -12,13 +12,14 @@ may differ across BLAS builds.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .operator import GridSpec, Trajectory
-from .special import require_finite_complex
+from .special import require_alpha, require_count, require_finite_complex
 from .weights import SchemeId, _as_scheme, weight_table
 
 __all__ = [
@@ -70,8 +71,7 @@ class ProblemSpec:
     forcing: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if not (isinstance(self.alpha, (int, float)) and 0.0 < self.alpha < 1.0):
-            raise ValueError(f"fractional order must lie in (0, 1), got {self.alpha!r}")
+        object.__setattr__(self, "alpha", require_alpha(self.alpha))
         object.__setattr__(self, "u0", require_finite_complex(self.u0, "u0"))
         if self.lam is not None:
             object.__setattr__(self, "lam", require_finite_complex(self.lam, "lam"))
@@ -87,10 +87,9 @@ class NewtonConfig:
     max_iter: int = 50
 
     def __post_init__(self):
-        if not 0.0 < self.tol < 1.0:
-            raise ValueError(f"newton tol must lie in (0, 1), got {self.tol!r}")
-        if not (type(self.max_iter) is int and self.max_iter >= 1):
-            raise ValueError(f"newton max_iter must be a positive integer, got {self.max_iter!r}")
+        if not (isinstance(self.tol, numbers.Real) and 0.0 < self.tol < 1.0):
+            raise ValueError(f"newton tol must be a real number in (0, 1), got {self.tol!r}")
+        object.__setattr__(self, "max_iter", require_count(self.max_iter, "max_iter", 1))
 
 
 @dataclass(frozen=True)

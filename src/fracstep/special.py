@@ -1,4 +1,10 @@
-"""Special functions used throughout: real gamma, Mittag-Leffler, binomial series."""
+"""Special functions used throughout: real gamma, Mittag-Leffler, binomial series.
+
+Also the input rules the other modules share, each written once here:
+require_count for the integer indices and lengths (a bool is never a count),
+require_alpha for the fractional order in (0, 1), and require_finite_complex
+for complex scalars.
+"""
 
 import cmath
 import functools
@@ -20,9 +26,14 @@ class MittagLefflerError(ArithmeticError):
     """Mittag-Leffler series did not converge, or lost accuracy to cancellation."""
 
 
+def _is_real(x) -> bool:
+    """x is an int or float scalar and not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def gamma_real(x: float) -> float:
     """Gamma function restricted to 0 < x <= 50 (the range scheme weights need)."""
-    if not (isinstance(x, (int, float)) and math.isfinite(x)):
+    if not (_is_real(x) and math.isfinite(x)):
         raise ValueError(f"gamma_real needs a finite real argument, got {x!r}")
     if not 0.0 < x <= _GAMMA_X_MAX:
         raise ValueError(f"gamma_real domain is (0, {_GAMMA_X_MAX}], got {x}")
@@ -38,6 +49,27 @@ def require_finite_complex(z, name: str = "z") -> complex:
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"{name} must have finite components, got {z!r}")
     return z
+
+
+def require_count(value, name: str, low=0, high=None) -> int:
+    """value as an int, for an int or NumPy integer (never a bool) with low <= value <= high.
+
+    low or high None leaves that side open.  Anything else raises ValueError,
+    e.g. "q must be an integer with 1 <= q <= 3, got 4".
+    """
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and (low is None or value >= low) and (high is None or value <= high)):
+        return int(value)
+    lo = "" if low is None else f"{low} <= "
+    hi = "" if high is None else f" <= {high}"
+    raise ValueError(f"{name} must be an integer with {lo}{name}{hi}, got {value!r}")
+
+
+def require_alpha(alpha) -> float:
+    """The fractional order as a float: an int or float in (0, 1), else ValueError."""
+    if isinstance(alpha, (int, float)) and 0.0 < alpha < 1.0:
+        return float(alpha)
+    raise ValueError(f"fractional order alpha must lie in (0, 1), got {alpha!r}")
 
 
 @functools.lru_cache(maxsize=64)
@@ -74,11 +106,11 @@ def mittag_leffler(alpha: float, beta: float, z):
     fails the call.
 
     The domain is alpha in (0, 2], beta > 0, |z| <= 10 (ValueError outside,
-    or for a non-finite z).
+    for a bool order or parameter, or for a non-finite z).
     """
-    if not (isinstance(alpha, (int, float)) and 0.0 < alpha <= 2.0):
+    if not (_is_real(alpha) and 0.0 < alpha <= 2.0):
         raise ValueError(f"mittag_leffler order must lie in (0, 2], got {alpha!r}")
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and beta > 0.0):
+    if not (_is_real(beta) and math.isfinite(beta) and beta > 0.0):
         raise ValueError(f"mittag_leffler second parameter must be positive, got {beta!r}")
     if isinstance(z, np.ndarray):
         return _mittag_leffler_array(float(alpha), float(beta), z)
@@ -246,10 +278,9 @@ def binom_series(beta: float, n_max: int) -> np.ndarray:
     """
     if not (isinstance(beta, (int, float)) and math.isfinite(beta) and abs(beta) < 2.0):
         raise ValueError(f"binom_series requires |beta| < 2, got {beta!r}")
-    if not (isinstance(n_max, (int, np.integer)) and n_max >= 0):
-        raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
-    g = np.empty(int(n_max) + 1)
+    n_max = require_count(n_max, "n_max")
+    g = np.empty(n_max + 1)
     g[0] = 1.0
-    for n in range(1, int(n_max) + 1):
+    for n in range(1, n_max + 1):
         g[n] = g[n - 1] * (n - 1.0 - beta) / n
     return g

@@ -18,8 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernel import _check_alpha
-from .special import binom_series, require_finite_complex
+from .special import binom_series, require_alpha, require_count, require_finite_complex
 from .weights import SchemeId, _as_scheme, weight_table
 
 __all__ = [
@@ -80,7 +79,7 @@ def boundary_locus(scheme, alpha: float, terms: int = _DEFAULT_TERMS, samples: i
     closed (the theta = 2 pi point repeats the first point).
     """
     s = _as_scheme(scheme)
-    _check_terms_samples(terms, samples)
+    terms, samples = _check_terms_samples(terms, samples)
     omega = weight_table(s, alpha, terms).omega
     thetas = 2.0 * math.pi * np.arange(samples + 1) / samples
     xi = np.exp(1j * thetas[:-1])
@@ -114,10 +113,7 @@ def _locus_samples(k: int, i: int, alpha: float, terms: int, samples: int):
 
 
 def _check_terms_samples(terms, samples):
-    if not (isinstance(terms, int) and not isinstance(terms, bool) and terms >= 1):
-        raise ValueError(f"terms must be a positive integer, got {terms!r}")
-    if not (isinstance(samples, int) and not isinstance(samples, bool) and samples >= 16):
-        raise ValueError(f"samples must be an integer >= 16, got {samples!r}")
+    return require_count(terms, "terms", 1), require_count(samples, "samples", 16)
 
 
 def _winding_number(points: np.ndarray, z: complex) -> Optional[int]:
@@ -145,8 +141,8 @@ def in_stability_region(
     z = 0 is the image of xi = 1 exactly and short-circuits to "outside".
     """
     s = _as_scheme(scheme)
-    alpha = _check_alpha(alpha)
-    _check_terms_samples(terms, samples)
+    alpha = require_alpha(alpha)
+    terms, samples = _check_terms_samples(terms, samples)
     z = require_finite_complex(z)
     if z == 0:
         return RegionVerdict(verdict="outside", margin=0.0, winding=None, samples=0)
@@ -176,8 +172,6 @@ def in_stability_region(
 def series_diagnostics(scheme, alpha: float, n_max: int) -> SeriesDiagnostics:
     """phi = cumulative sums of omega; psi = (1-xi)^(1-alpha) * phi coefficients."""
     s = _as_scheme(scheme)
-    if not (isinstance(n_max, int) and n_max >= 0):
-        raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
     omega = weight_table(s, alpha, n_max).omega
     phi = np.cumsum(omega)
     g = binom_series(1.0 - alpha, n_max)

@@ -16,11 +16,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from operator import index
 
 import numpy as np
 
-from .kernel import _check_alpha, _check_n_max, _kernel_values, _power_moments, backward_diff, dbinom_poly
+from .kernel import _kernel_values, _power_moments, backward_diff, dbinom_poly
+from .special import require_alpha, require_count
 
 __all__ = [
     "SchemeId",
@@ -46,10 +46,9 @@ class SchemeId:
     i: int
 
     def __post_init__(self):
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (self.k, self.i)):
-            raise ValueError(f"scheme indices must be integers, got ({self.k!r}, {self.i!r})")
-        if not 1 <= self.i <= self.k <= 3:
-            raise ValueError(f"scheme requires 1 <= i <= k <= 3, got (k={self.k}, i={self.i})")
+        k = require_count(self.k, "k", 1, 3)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "i", require_count(self.i, "i", 1, k))
 
     @property
     def label(self) -> str:
@@ -63,8 +62,7 @@ def _as_scheme(scheme) -> SchemeId:
     if isinstance(scheme, SchemeId):
         return scheme
     try:
-        # integers only: neither 1.5 nor True may become 1
-        k, i = (index(v) for v in scheme if not isinstance(v, bool))
+        k, i = scheme
     except (TypeError, ValueError):
         raise ValueError(f"not a scheme label: {scheme!r}") from None
     return SchemeId(k, i)
@@ -84,10 +82,7 @@ class WeightTable:
         return self.omega.size - 1
 
     def starting_row(self, n: int) -> tuple:
-        if not self.scheme.k <= n <= self.n_max:
-            raise ValueError(
-                f"starting row defined for {self.scheme.k} <= n <= {self.n_max}, got {n}"
-            )
+        n = require_count(n, "n", self.scheme.k, self.n_max)
         return tuple(float(v) for v in self.starting[n])
 
 
@@ -100,13 +95,9 @@ def piece_layout(k: int, i: int, n: int):
     interpolant with a single wide head piece; it has no weight list.
     """
     if (k, i) == (2, 3):
-        if n < 2:
-            raise ValueError("auxiliary interpolant (2,3) needs n >= 2")
-        return [(2, 2)] + [(1, 2)] * (n - 1)
-    if not 1 <= i <= k <= 3:
-        raise ValueError(f"scheme requires 1 <= i <= k <= 3, got (k={k}, i={i})")
-    if n < k:
-        raise ValueError(f"interpolant at step n requires n >= k, got n={n}, k={k}")
+        return [(2, 2)] + [(1, 2)] * (require_count(n, "n", 2) - 1)
+    s = SchemeId(k, i)
+    k, i, n = s.k, s.i, require_count(n, "n", s.k)
     layout = []
     for j in range(1, n + 1):
         if j <= k - i:
@@ -209,4 +200,4 @@ def weight_table(scheme, alpha: float, n_max: int) -> WeightTable:
     lookup thread-safe.
     """
     s = _as_scheme(scheme)
-    return _build(s.k, s.i, _check_alpha(alpha), _check_n_max(n_max))
+    return _build(s.k, s.i, require_alpha(alpha), require_count(n_max, "n_max"))

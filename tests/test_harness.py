@@ -159,6 +159,14 @@ def test_truncation_study_degree_validation():
         run_truncation_study((1, 1), 0.5, -1, [8])
 
 
+def test_drivers_reject_non_integer_step_counts():
+    # a step count is never rounded: 8.7 is not the grid M = 8
+    with pytest.raises(ConfigError):
+        run_truncation_study((1, 1), 0.5, 2, [8.7])
+    with pytest.raises(ValueError):
+        run_convergence(mlf_decay, [(1, 1)], [0.5], [8.7, 16])
+
+
 def test_fit_order_recovers_exact_power():
     M_list = [16, 32, 64, 128]
     errs = [3.7 * M ** -1.7 for M in M_list]
@@ -314,6 +322,8 @@ def test_parse_config_expression_problem():
     lambda raw: raw.update(problem={"rhs": {"expr": "-u"}, "u0": False}),
     lambda raw: raw.update(alpha=[0.5, 0.5]),
     lambda raw: raw.update(grid={"T": 1.0, "M_list": [32, 64, 64]}),
+    lambda raw: raw.update(newton={"tol": "x"}),
+    lambda raw: raw.update(alpha=[]),
 ])
 def test_parse_config_rejects(mangle):
     raw = _good_config()

@@ -179,6 +179,8 @@ def test_backward_diff_basics():
         backward_diff([], 1)
     with pytest.raises(ValueError):
         backward_diff(np.array(["a", "b"]), 1)
+    with pytest.raises(ValueError):
+        backward_diff([1.0, 2.0], True)
 
 
 def test_kernel_argument_validation():
@@ -192,3 +194,5 @@ def test_kernel_argument_validation():
         kernel_table(0.5, 1, 1, -1)
     with pytest.raises(ValueError):
         kernel_table(0.5, 1, 1, True)
+    with pytest.raises(ValueError):
+        kernel_table(0.5, True, True, 3)

@@ -26,11 +26,17 @@ def test_gridspec_basics():
     with pytest.raises(ValueError):
         g.node(9)
     with pytest.raises(ValueError):
+        g.node(2.5)
+    with pytest.raises(ValueError):
+        g.node(True)
+    with pytest.raises(ValueError):
         GridSpec(T=0.0, M=4)
     with pytest.raises(ValueError):
         GridSpec(T=1.0, M=0)
     with pytest.raises(ValueError):
         GridSpec(T=1.0, M=True)
+    with pytest.raises(ValueError):
+        GridSpec(T=True, M=4)
 
 
 def test_trajectory_validation():
@@ -126,6 +132,8 @@ def test_operator_index_and_table_bounds():
         apply_discrete_caputo(tab, tr, 7)   # beyond grid
     with pytest.raises(ValueError):
         apply_discrete_caputo(tab, tr, 6)   # table too short
+    with pytest.raises(ValueError):
+        apply_discrete_caputo(weight_table(SchemeId(1, 1), 0.5, 6), tr, True)   # k = 1 <= True
 
 
 def test_compensated_cdot_matches_dot():
@@ -147,3 +155,5 @@ def test_caputo_monomial_values():
         caputo_monomial(-1, 0.5, 0.5)
     with pytest.raises(ValueError):
         caputo_monomial(2, 1.5, 0.5)
+    with pytest.raises(ValueError):
+        caputo_monomial(True, 0.5, 1.0)

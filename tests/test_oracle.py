@@ -134,6 +134,8 @@ def test_oracle_argument_validation():
         oracle_discrete_caputo(itp, 1.2)
     with pytest.raises(ValueError):
         build_interpolant(SchemeId(2, 1), g, np.ones(3), 5)
+    with pytest.raises(ValueError):
+        build_interpolant(SchemeId(2, 1), g, np.ones(7), 2.7)
 
 
 def test_package_import_defers_scipy(child_env):

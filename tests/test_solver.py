@@ -207,6 +207,8 @@ def test_newton_config_validation():
         NewtonConfig(tol=0.0)
     with pytest.raises(ValueError):
         NewtonConfig(max_iter=0)
+    with pytest.raises(ValueError):
+        NewtonConfig(tol="x")
 
 
 def test_problem_spec_validation():

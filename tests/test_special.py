@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fracstep import MittagLefflerError, binom_series, gamma_real, mittag_leffler
+from fracstep.special import require_alpha, require_count
 
 # Reference values computed with 40-digit arithmetic from the defining series.
 MLF_REFERENCE = [
@@ -25,7 +26,7 @@ def test_gamma_real_matches_math_gamma():
         assert gamma_real(x) == math.gamma(x)
 
 
-@pytest.mark.parametrize("x", [0.0, -1.0, 50.0001, math.nan, math.inf])
+@pytest.mark.parametrize("x", [0.0, -1.0, 50.0001, math.nan, math.inf, True])
 def test_gamma_real_rejects_out_of_domain(x):
     with pytest.raises(ValueError):
         gamma_real(x)
@@ -64,6 +65,10 @@ def test_mittag_leffler_domain_errors():
         mittag_leffler(0.5, 1.0, 11.0)
     with pytest.raises(ValueError):
         mittag_leffler(0.5, 1.0, complex(math.nan, 0.0))
+    with pytest.raises(ValueError):
+        mittag_leffler(True, 1.0, 0.5)
+    with pytest.raises(ValueError):
+        mittag_leffler(0.5, True, 0.5)
 
 
 def test_mittag_leffler_term_cap_raises():
@@ -104,6 +109,31 @@ def test_binom_series_domain_errors():
         binom_series(math.nan, 4)
     with pytest.raises(ValueError):
         binom_series(0.5, -1)
+    with pytest.raises(ValueError):
+        binom_series(0.5, True)
+
+
+def test_require_count_and_require_alpha():
+    assert require_count(0, "n") == 0
+    assert require_count(3, "q", 1, 3) == 3
+    assert require_count(-7, "n", None, 4) == -7
+    got = require_count(np.int64(5), "M", 1)
+    assert got == 5 and type(got) is int
+    for value, low, high in ((True, 0, None), (False, 0, None), (2.0, 0, None), ("2", 0, None),
+                             (None, 0, None), (-1, 0, None), (0, 1, None), (4, 1, 3), (np.bool_(True), 0, None)):
+        with pytest.raises(ValueError):
+            require_count(value, "n", low, high)
+    with pytest.raises(ValueError, match=r"q must be an integer with 1 <= q <= 3, got 4"):
+        require_count(4, "q", 1, 3)
+    with pytest.raises(ValueError, match=r"n <= 4"):
+        require_count(5, "n", None, 4)
+
+    got = require_alpha(0.25)
+    assert got == 0.25 and type(got) is float
+    assert type(require_alpha(np.float64(0.5))) is float
+    for bad in (0.0, 1.0, -0.5, 1.5, math.nan, True, False, "0.5", None):
+        with pytest.raises(ValueError, match="alpha"):
+            require_alpha(bad)
 
 
 # ---------------------------------------------------------------------------

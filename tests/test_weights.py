@@ -136,6 +136,10 @@ def test_starting_row_accessor_bounds():
         tab.starting_row(17)
     with pytest.raises(ValueError):
         weight_table(SchemeId(2, 1), 0.4, 1).starting_row(1)
+    with pytest.raises(ValueError):
+        tab.starting_row(3.5)
+    with pytest.raises(ValueError):
+        weight_table(SchemeId(1, 1), 0.4, 4).starting_row(True)
 
 
 def test_degenerate_table_lengths():
