@@ -150,7 +150,8 @@ def _cmd_truncation(args) -> int:
 
 
 def _cmd_locus(args) -> int:
-    curve = boundary_locus(_scheme_of(args), args.alpha, terms=args.terms, samples=args.samples)
+    given = {key: getattr(args, key) for key in ("terms", "samples") if getattr(args, key) is not None}
+    curve = boundary_locus(_scheme_of(args), args.alpha, **given)
 
     def render(fh):
         fh.write("theta,re,im\n")
@@ -224,8 +225,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("locus", help="sample the stability region boundary curve")
     _add_scheme_args(p)
     _add_alpha_arg(p)
-    p.add_argument("--terms", type=int, default=6000, help="series truncation length")
-    p.add_argument("--samples", type=int, default=2048, help="number of boundary points")
+    p.add_argument("--terms", type=int, help="series truncation length (default: the library's)")
+    p.add_argument("--samples", type=int, help="number of boundary points (default: the library's)")
     p.add_argument("-o", "--output", help="output path (default: stdout)")
     p.set_defaults(func=_cmd_locus)
 

@@ -66,6 +66,7 @@ class ConfigError(ValueError):
 
 def mlf_decay(alpha: float) -> ProblemSpec:
     """Pure-time right-hand side whose solution is the Mittag-Leffler decay."""
+    alpha = require_alpha(alpha)   # a float, so the closures compute in double precision
 
     def exact(t: float) -> complex:
         return mittag_leffler(alpha, 1.0, -(t ** alpha))
@@ -82,7 +83,7 @@ def mlf_decay(alpha: float) -> ProblemSpec:
 
 def linear_complex(alpha: float, lam) -> ProblemSpec:
     """D^alpha u = lam*u + g with exact solution exp(-t); lam may be complex."""
-    lam = require_finite_complex(lam, "lam")
+    alpha, lam = require_alpha(alpha), require_finite_complex(lam, "lam")
 
     def exact(t: float) -> complex:
         return cmath.exp(complex(-t))
@@ -99,7 +100,7 @@ def linear_complex(alpha: float, lam) -> ProblemSpec:
 
 def nonlinear_square(alpha: float, mu) -> ProblemSpec:
     """D^alpha u = -u^2 + g with exact solution exp(mu*t); mu may be complex."""
-    mu = require_finite_complex(mu, "mu")
+    alpha, mu = require_alpha(alpha), require_finite_complex(mu, "mu")
 
     def exact(t: float) -> complex:
         return cmath.exp(mu * t)
@@ -402,7 +403,7 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("hold_first_value applies only to k = 1 schemes")
 
     return RunConfig(problem_for=factory, alphas=alphas, schemes=schemes,
-                     T=float(grids[0].T), M_list=M_list,
+                     T=grids[0].T, M_list=M_list,
                      single_M=M_list[0] if "M" in grid else None, starting=starting,
                      newton=newton, hold_first_value=hold)
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .special import require_count
+from .special import require_count, require_real
 from .weights import WeightTable
 
 __all__ = ["GridSpec", "Trajectory", "apply_discrete_caputo", "compensated_cdot"]
@@ -19,9 +19,9 @@ class GridSpec:
     M: int
 
     def __post_init__(self):
-        T = self.T
-        if not (isinstance(T, (int, float)) and not isinstance(T, bool) and math.isfinite(T) and T > 0.0):
-            raise ValueError(f"horizon T must be positive and finite, got {T!r}")
+        object.__setattr__(self, "T", require_real(self.T, "horizon T"))
+        if not self.T > 0.0:
+            raise ValueError(f"horizon T must be positive, got {self.T!r}")
         object.__setattr__(self, "M", require_count(self.M, "M", 1))
 
     @property

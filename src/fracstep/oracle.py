@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .operator import GridSpec
-from .special import gamma_real, require_alpha, require_count
+from .special import gamma_real, require_alpha, require_count, require_real
 from .weights import _as_scheme, piece_layout
 
 __all__ = [
@@ -35,7 +35,7 @@ _GL_WS = 0.5 * _GL_W
 
 def caputo_monomial(m: int, alpha: float, t: float) -> float:
     """Caputo derivative of t^m: Gamma(m+1)/Gamma(m+1-alpha) * t^(m-alpha)."""
-    m, alpha = require_count(m, "m"), require_alpha(alpha)
+    m, alpha, t = require_count(m, "m"), require_alpha(alpha), require_real(t, "time t")
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t!r}")
     if m == 0:

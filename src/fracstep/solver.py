@@ -12,14 +12,13 @@ may differ across BLAS builds.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .operator import GridSpec, Trajectory
-from .special import require_alpha, require_count, require_finite_complex
+from .special import require_alpha, require_count, require_finite_complex, require_real
 from .weights import SchemeId, _as_scheme, weight_table
 
 __all__ = [
@@ -87,7 +86,8 @@ class NewtonConfig:
     max_iter: int = 50
 
     def __post_init__(self):
-        if not (isinstance(self.tol, numbers.Real) and 0.0 < self.tol < 1.0):
+        object.__setattr__(self, "tol", require_real(self.tol, "newton tol"))
+        if not 0.0 < self.tol < 1.0:
             raise ValueError(f"newton tol must be a real number in (0, 1), got {self.tol!r}")
         object.__setattr__(self, "max_iter", require_count(self.max_iter, "max_iter", 1))
 

@@ -1,9 +1,9 @@
 """Special functions used throughout: real gamma, Mittag-Leffler, binomial series.
 
-Also the input rules the other modules share, each written once here:
-require_count for the integer indices and lengths (a bool is never a count),
-require_alpha for the fractional order in (0, 1), and require_finite_complex
-for complex scalars.
+Also the input rules the other modules share, each written once here (a
+bool is never a number to any of them): require_count for the integer indices
+and lengths, require_real for real scalars, require_alpha for the fractional
+order in (0, 1), and require_finite_complex for complex scalars.
 """
 
 import cmath
@@ -26,22 +26,18 @@ class MittagLefflerError(ArithmeticError):
     """Mittag-Leffler series did not converge, or lost accuracy to cancellation."""
 
 
-def _is_real(x) -> bool:
-    """x is an int or float scalar and not a bool."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def gamma_real(x: float) -> float:
     """Gamma function restricted to 0 < x <= 50 (the range scheme weights need)."""
-    if not (_is_real(x) and math.isfinite(x)):
-        raise ValueError(f"gamma_real needs a finite real argument, got {x!r}")
+    x = require_real(x, "gamma_real argument")
     if not 0.0 < x <= _GAMMA_X_MAX:
         raise ValueError(f"gamma_real domain is (0, {_GAMMA_X_MAX}], got {x}")
     return math.gamma(x)
 
 
 def require_finite_complex(z, name: str = "z") -> complex:
-    """Coerce to complex and reject NaN/Inf components."""
+    """Coerce to complex and reject NaN/Inf components and bools."""
+    if isinstance(z, (bool, np.bool_)):
+        raise ValueError(f"{name} is not a complex scalar: {z!r}")
     try:
         z = complex(z)
     except (TypeError, ValueError):
@@ -65,9 +61,17 @@ def require_count(value, name: str, low=0, high=None) -> int:
     raise ValueError(f"{name} must be an integer with {lo}{name}{hi}, got {value!r}")
 
 
+def require_real(x, name: str) -> float:
+    """x as a float, for a finite int, float or NumPy integer or floating scalar (never a bool)."""
+    if (isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+            and math.isfinite(x)):
+        return float(x)
+    raise ValueError(f"{name} must be a finite real number, got {x!r}")
+
+
 def require_alpha(alpha) -> float:
-    """The fractional order as a float: an int or float in (0, 1), else ValueError."""
-    if isinstance(alpha, (int, float)) and 0.0 < alpha < 1.0:
+    """The fractional order as a float: a real number (require_real) in (0, 1), else ValueError."""
+    if 0.0 < require_real(alpha, "fractional order alpha") < 1.0:
         return float(alpha)
     raise ValueError(f"fractional order alpha must lie in (0, 1), got {alpha!r}")
 
@@ -106,11 +110,11 @@ def mittag_leffler(alpha: float, beta: float, z):
     fails the call.
 
     The domain is alpha in (0, 2], beta > 0, |z| <= 10 (ValueError outside,
-    for a bool order or parameter, or for a non-finite z).
+    for a bool in any argument, or for a non-finite z).
     """
-    if not (_is_real(alpha) and 0.0 < alpha <= 2.0):
+    if not 0.0 < require_real(alpha, "mittag_leffler order") <= 2.0:
         raise ValueError(f"mittag_leffler order must lie in (0, 2], got {alpha!r}")
-    if not (_is_real(beta) and math.isfinite(beta) and beta > 0.0):
+    if not require_real(beta, "mittag_leffler second parameter") > 0.0:
         raise ValueError(f"mittag_leffler second parameter must be positive, got {beta!r}")
     if isinstance(z, np.ndarray):
         return _mittag_leffler_array(float(alpha), float(beta), z)
@@ -276,7 +280,8 @@ def binom_series(beta: float, n_max: int) -> np.ndarray:
     Uses the ratio recurrence g_0 = 1, g_n = g_{n-1} (n - 1 - beta) / n, which is
     stable for the |beta| < 2 range the stability diagnostics use.
     """
-    if not (isinstance(beta, (int, float)) and math.isfinite(beta) and abs(beta) < 2.0):
+    beta = require_real(beta, "binom_series exponent beta")
+    if not abs(beta) < 2.0:
         raise ValueError(f"binom_series requires |beta| < 2, got {beta!r}")
     n_max = require_count(n_max, "n_max")
     g = np.empty(n_max + 1)

@@ -73,26 +73,16 @@ class SeriesDiagnostics:
 
 
 def boundary_locus(scheme, alpha: float, terms: int = _DEFAULT_TERMS, samples: int = 2048) -> LocusCurve:
-    """Truncated boundary locus zeta(theta_m), theta_m = 2 pi m / samples.
-
-    Evaluated by a Horner recurrence in e^(i theta); the returned curve is
-    closed (the theta = 2 pi point repeats the first point).
-    """
+    """Truncated locus zeta(2 pi m / samples), m = 0..samples: _locus_samples, closed at 2 pi."""
     s = _as_scheme(scheme)
     terms, samples = _check_terms_samples(terms, samples)
-    omega = weight_table(s, alpha, terms).omega
+    alpha = require_alpha(alpha)
     thetas = 2.0 * math.pi * np.arange(samples + 1) / samples
-    xi = np.exp(1j * thetas[:-1])
-    acc = np.full(samples, complex(omega[terms]))
-    for n in range(terms - 1, -1, -1):
-        acc *= xi
-        acc += omega[n]
-    points = np.empty(samples + 1, dtype=complex)
-    points[:-1] = acc
-    points[-1] = acc[0]
+    open_points = _locus_samples(s.k, s.i, alpha, terms, samples)
+    points = np.append(open_points, open_points[0])
     thetas.flags.writeable = False
     points.flags.writeable = False
-    return LocusCurve(scheme=s, alpha=float(alpha), terms=terms, thetas=thetas, points=points)
+    return LocusCurve(scheme=s, alpha=alpha, terms=terms, thetas=thetas, points=points)
 
 
 @lru_cache(maxsize=8)
@@ -100,9 +90,8 @@ def _locus_samples(k: int, i: int, alpha: float, terms: int, samples: int):
     """Open sampling (m = 0..samples-1) of the truncated locus on the uniform full circle.
 
     The sum zeta(theta_m) = sum_n omega_n e^(2 pi i n m / S) only sees n mod S,
-    so folding the coefficients modulo S and applying an inverse FFT gives the
-    exact same values as the Horner recurrence at FFT cost; membership queries
-    at high resolution need this.
+    so folding the coefficients modulo S and applying an inverse FFT gives
+    every sample at FFT cost.  This is the only evaluation of the locus series.
     """
     omega = weight_table(SchemeId(k, i), alpha, terms).omega
     pad = (-omega.size) % samples

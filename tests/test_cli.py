@@ -142,6 +142,14 @@ def test_locus_stdout(capsys):
     assert lines[1].split(",")[0] == "0.0"
 
 
+def test_locus_defaults_are_the_library_defaults(capsys):
+    rc, out, err = run_cli(capsys, "locus", "--k", "2", "--i", "1", "--alpha", "0.5")
+    assert rc == 0
+    curve = boundary_locus((2, 1), 0.5)
+    rows = [tuple(map(float, line.split(","))) for line in out.splitlines()[1:]]
+    assert rows == [(theta, z.real, z.imag) for theta, z in zip(curve.thetas, curve.points)]
+
+
 def _solve_config(tmp_path, **overrides):
     raw = {
         "problem": {"tag": "linear_complex", "lambda": "-1"},

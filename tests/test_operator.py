@@ -157,3 +157,6 @@ def test_caputo_monomial_values():
         caputo_monomial(2, 1.5, 0.5)
     with pytest.raises(ValueError):
         caputo_monomial(True, 0.5, 1.0)
+    for t in (math.nan, math.inf, -1.0, "1"):
+        with pytest.raises(ValueError):
+            caputo_monomial(1, 0.5, t)

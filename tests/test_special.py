@@ -6,8 +6,20 @@ import math
 import numpy as np
 import pytest
 
-from fracstep import MittagLefflerError, binom_series, gamma_real, mittag_leffler
-from fracstep.special import require_alpha, require_count
+from fracstep import (
+    GridSpec,
+    MittagLefflerError,
+    NewtonConfig,
+    ProblemSpec,
+    binom_series,
+    caputo_monomial,
+    gamma_real,
+    linear_complex,
+    mittag_leffler,
+    mlf_decay,
+    nonlinear_square,
+)
+from fracstep.special import require_alpha, require_count, require_finite_complex, require_real
 
 # Reference values computed with 40-digit arithmetic from the defining series.
 MLF_REFERENCE = [
@@ -131,9 +143,49 @@ def test_require_count_and_require_alpha():
     got = require_alpha(0.25)
     assert got == 0.25 and type(got) is float
     assert type(require_alpha(np.float64(0.5))) is float
+    assert require_alpha(np.float32(0.5)) == 0.5
     for bad in (0.0, 1.0, -0.5, 1.5, math.nan, True, False, "0.5", None):
         with pytest.raises(ValueError, match="alpha"):
             require_alpha(bad)
+
+
+def test_require_real():
+    for x in (0, 3, -2.5, np.int64(7), np.float64(0.25), np.float32(0.5)):
+        got = require_real(x, "x")
+        assert got == x and type(got) is float
+    for bad in (True, False, np.bool_(True), math.nan, -math.inf, np.float32("inf"), 1j, "1", None):
+        with pytest.raises(ValueError, match="horizon T must be a finite real number"):
+            require_real(bad, "horizon T")
+
+
+# Every shared input rule: a bool is never a number, real or complex.
+@pytest.mark.parametrize("call", [
+    lambda b: require_finite_complex(b, "u0"),
+    lambda b: mittag_leffler(0.5, 1.0, b),
+    lambda b: linear_complex(0.5, b),
+    lambda b: ProblemSpec(alpha=0.5, u0=b, rhs=lambda t, u: -u),
+    lambda b: GridSpec(T=b, M=4),
+    lambda b: require_alpha(b),
+    lambda b: NewtonConfig(tol=b),
+    lambda b: binom_series(b, 3),
+    lambda b: caputo_monomial(1, 0.5, b),
+], ids=["require_finite_complex", "mlf_z", "linear_complex_lam", "problem_u0", "grid_T", "alpha",
+        "newton_tol", "binom_beta", "caputo_t"])
+@pytest.mark.parametrize("flag", [True, False, np.bool_(True)], ids=["True", "False", "np_True"])
+def test_bool_is_not_a_number(call, flag):
+    with pytest.raises(ValueError):
+        call(flag)
+
+
+def test_numpy_float32_is_a_real_number():
+    assert GridSpec(T=np.float32(2.0), M=4).dt == 0.5
+    assert type(GridSpec(T=np.float32(2.0), M=4).T) is float
+    assert NewtonConfig(tol=np.float32(0.25)).tol == 0.25
+    assert ProblemSpec(alpha=np.float32(0.5), u0=1.0, rhs=lambda t, u: -u).alpha == 0.5
+    assert mittag_leffler(np.float32(0.5), np.float32(1.0), -0.5) == mittag_leffler(0.5, 1.0, -0.5)
+    for make in (mlf_decay, lambda a: linear_complex(a, -1.0), lambda a: nonlinear_square(a, -1.0)):
+        single, double = make(np.float32(0.5)), make(0.5)
+        assert single.exact(0.3) == double.exact(0.3) and single.forcing(0.3) == double.forcing(0.3)
 
 
 # ---------------------------------------------------------------------------

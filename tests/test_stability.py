@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from fracstep import ALL_SCHEMES, boundary_locus, in_stability_region
-from fracstep.stability import _locus_samples, phi_at, series_diagnostics
+from fracstep import ALL_SCHEMES, boundary_locus, in_stability_region, weight_table
+from fracstep.stability import phi_at, series_diagnostics
 
 # zeta(pi) = sum_n (-1)^n omega_n for the truncated locus with 6000 terms.
 HALF_TURN_REFERENCE = [
@@ -39,11 +39,19 @@ def test_locus_half_turn_values(k, i, alpha, expected):
     assert abs(z.imag) <= 1e-12
 
 
-def test_horner_and_fft_sampling_agree():
-    for scheme, alpha in [((1, 1), 0.3), ((3, 2), 0.7)]:
-        curve = boundary_locus(scheme, alpha, terms=2000, samples=64)
-        pts = _locus_samples(scheme[0], scheme[1], alpha, 2000, 64)
-        assert np.max(np.abs(curve.points[:-1] - pts)) <= 1e-12
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+def test_locus_matches_compensated_direct_sum(scheme, alpha):
+    # zeta(2 pi m / S) = sum_n omega_n e^(2 pi i (n m mod S) / S), each point
+    # summed term by term with math.fsum.
+    terms, S = 2000, 64
+    curve = boundary_locus(scheme, alpha, terms=terms, samples=S)
+    omega = weight_table(scheme, alpha, terms).omega
+    n = np.arange(terms + 1)
+    for m in range(S):
+        parts = omega * np.exp(2j * np.pi * (n * m % S) / S)
+        zeta = complex(math.fsum(parts.real.tolist()), math.fsum(parts.imag.tolist()))
+        assert abs(curve.points[m] - zeta) <= 1e-13 * max(1.0, abs(zeta)), m
 
 
 MEMBERSHIP_CASES = [
