@@ -8,6 +8,10 @@ with C the generalized binomial coefficient, q the interpolation offset and r th
 polynomial degree.  Everything the weight lists need reduces to power moments
 J_m(n) = int_0^1 (n+1-s)^(-alpha) s^m ds for m <= 2: a Beta-function closed form
 at n = 0 (endpoint singularity) and Gauss-Legendre quadrature for n >= 1.
+The moments depend on alpha alone, so each alpha keeps one moment array, the
+longest batch computed so far: a shorter request reads a slice of it, a
+longer one computes only the missing columns.  At most _MOMENT_ALPHAS alphas
+are kept, the least recently used dropped first.
 
 Arguments follow the shared input rules of special: q, r, n_max, n and the
 difference order are integers (require_count, so never a bool), alpha lies
@@ -15,8 +19,11 @@ in (0, 1) (require_alpha).
 """
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -34,6 +41,12 @@ _GL_S = 0.5 * (_GL_X + 1.0)   # nodes on [0, 1]
 _GL_WS = 0.5 * _GL_W
 _GL_WM = np.stack([_GL_WS, _GL_WS * _GL_S, _GL_WS * (_GL_S * _GL_S)])   # row m: w_j s_j^m
 
+# alpha -> read-only J[m, n] for n = 0..(longest request so far), least recently used first.
+# The stability sweep cycles through 19 alphas per scheme, so fewer would never hit.
+_MOMENT_ALPHAS = 32
+_moments = OrderedDict()
+_moments_lock = threading.Lock()
+
 
 def dbinom_poly(q: int, r: int) -> list:
     """Coefficients (ascending powers of s) of d/ds C(s - q + r - 1, r).
@@ -41,7 +54,11 @@ def dbinom_poly(q: int, r: int) -> list:
     Exact rational arithmetic, returned as floats.  The result has r
     coefficients, i.e. degree r - 1.
     """
-    q, r = require_count(q, "q", 1, 3), require_count(r, "r", 1, 3)
+    return list(_dbinom_coeffs(require_count(q, "q", 1, 3), require_count(r, "r", 1, 3)))
+
+
+@cache
+def _dbinom_coeffs(q: int, r: int) -> tuple:
     # C(x, r) with x = s - q + r - 1 is prod_{l=0}^{r-1} (s - (q - r + 1 + l)) / r!
     poly = [Fraction(1)]
     for l in range(r):
@@ -51,7 +68,7 @@ def dbinom_poly(q: int, r: int) -> list:
             poly[m] -= root * poly[m + 1]
     fact = Fraction(math.factorial(r))
     deriv = [m * poly[m] / fact for m in range(1, len(poly))]
-    return [float(c) for c in deriv]
+    return tuple(float(c) for c in deriv)
 
 
 def _moments_closed_zero(alpha):
@@ -89,11 +106,36 @@ def _moments_gauss(alpha, ns):
 
 
 def _power_moments(alpha, n_max):
-    """J[m, n] for 0 <= m <= 2, 0 <= n <= n_max."""
+    """J[m, n] for 0 <= m <= 2, 0 <= n <= n_max, read-only, from the per-alpha cache.
+
+    A longer request copies the cached columns and appends only the missing
+    ones; _moments_gauss does not depend on the batch, so the result equals a
+    cold batch bit for bit.  Concurrent misses may both compute, but only a
+    finished, read-only array is ever published.
+    """
+    with _moments_lock:
+        have = _moments.get(alpha)
+        if have is not None:
+            _moments.move_to_end(alpha)
+    if have is not None and have.shape[1] > n_max:
+        return have[:, :n_max + 1]
     J = np.empty((3, n_max + 1))
-    J[:, 0] = _moments_closed_zero(alpha)
-    if n_max >= 1:
-        J[:, 1:] = _moments_gauss(alpha, np.arange(1, n_max + 1))
+    if have is None:
+        J[:, 0] = _moments_closed_zero(alpha)
+        start = 1
+    else:
+        start = have.shape[1]
+        J[:, :start] = have
+    if n_max >= start:
+        J[:, start:] = _moments_gauss(alpha, np.arange(start, n_max + 1))
+    J.flags.writeable = False
+    with _moments_lock:
+        current = _moments.get(alpha)
+        if current is None or current.shape[1] < J.shape[1]:
+            _moments[alpha] = J
+        _moments.move_to_end(alpha)
+        while len(_moments) > _MOMENT_ALPHAS:
+            _moments.popitem(last=False)
     return J
 
 

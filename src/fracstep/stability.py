@@ -78,7 +78,7 @@ def boundary_locus(scheme, alpha: float, terms: int = _DEFAULT_TERMS, samples: i
     terms, samples = _check_terms_samples(terms, samples)
     alpha = require_alpha(alpha)
     thetas = 2.0 * math.pi * np.arange(samples + 1) / samples
-    open_points = _locus_samples(s.k, s.i, alpha, terms, samples)
+    open_points, _ = _locus_samples(s.k, s.i, alpha, terms, samples)
     points = np.append(open_points, open_points[0])
     thetas.flags.writeable = False
     points.flags.writeable = False
@@ -87,7 +87,8 @@ def boundary_locus(scheme, alpha: float, terms: int = _DEFAULT_TERMS, samples: i
 
 @lru_cache(maxsize=8)
 def _locus_samples(k: int, i: int, alpha: float, terms: int, samples: int):
-    """Open sampling (m = 0..samples-1) of the truncated locus on the uniform full circle.
+    """Open sampling (m = 0..samples-1) of the truncated locus on the uniform full circle,
+    with the perimeter of the closed polygon through the samples.
 
     The sum zeta(theta_m) = sum_n omega_n e^(2 pi i n m / S) only sees n mod S,
     so folding the coefficients modulo S and applying an inverse FFT gives
@@ -98,15 +99,16 @@ def _locus_samples(k: int, i: int, alpha: float, terms: int, samples: int):
     folded = np.concatenate([omega, np.zeros(pad)]).reshape(-1, samples).sum(axis=0)
     pts = np.fft.ifft(folded) * samples
     pts.flags.writeable = False
-    return pts
+    perimeter = float(np.abs(np.diff(pts)).sum()) + abs(pts[0] - pts[-1])
+    return pts, perimeter
 
 
 def _check_terms_samples(terms, samples):
     return require_count(terms, "terms", 1), require_count(samples, "samples", 16)
 
 
-def _winding_number(points: np.ndarray, z: complex) -> Optional[int]:
-    rel = points - z
+def _winding_number(rel: np.ndarray) -> Optional[int]:
+    """Turns of the closed polygon rel (points - z) around 0; None if not near an integer."""
     turn = np.angle(rel * np.conj(np.roll(rel, 1)))
     total = float(turn.sum()) / (2.0 * math.pi)
     w = round(total)
@@ -140,14 +142,14 @@ def in_stability_region(
     prev: Optional[int] = None
     best_margin = math.inf
     while True:
-        pts = _locus_samples(s.k, s.i, alpha, terms, S)
-        margin = float(np.abs(pts - z).min())
+        pts, perimeter = _locus_samples(s.k, s.i, alpha, terms, S)
+        rel = pts - z
+        margin = float(np.abs(rel).min())
         best_margin = min(best_margin, margin)
         if margin < _ON_CURVE_TOL:
             return RegionVerdict(verdict="boundary", margin=margin, winding=None, samples=S)
-        perimeter = float(np.abs(np.diff(pts)).sum()) + abs(pts[0] - pts[-1])
         resolution = perimeter / S
-        w = _winding_number(pts, z)
+        w = _winding_number(rel)
         confident = w is not None and margin >= _RESOLUTION_FACTOR * resolution
         if confident and prev is not None and w == prev:
             verdict = "inside" if w == 0 else "outside"

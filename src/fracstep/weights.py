@@ -9,7 +9,9 @@ and this module produces the omega sequence and the starting rows w_{n,.}
 by integrating the pieces that piece_layout lists against the kernel tables.
 Weight tables are cached per (scheme, alpha bit pattern, length) and
 validated at construction: the weights of every step must sum to zero
-(exactness on constants).
+(exactness on constants).  The power moments under the kernel tables come
+from the kernel module's per-alpha cache, so the six schemes and every table
+length at one alpha share a single moment batch.
 """
 
 import math
@@ -167,9 +169,9 @@ def _assemble(k: int, i: int, alpha: float, n_max: int):
     for d, terms in enumerate(lags):  # these sums cancel heavily: compensated summation
         omega[d] = math.fsum(c * tables[key][e] for (key, e), c in terms.items())
     starting = np.zeros((n_max + 1, k))
-    n = np.arange(k, n_max + 1)
-    for m, terms in enumerate(cols):
-        starting[k:, m] = sum(c * tables[key][n - j] for (key, j), c in terms.items() if c)
+    for m, terms in enumerate(cols if n_max >= k else ()):   # entries n - j, n = k..n_max
+        starting[k:, m] = sum(c * tables[key][k - j: n_max + 1 - j]
+                              for (key, j), c in terms.items() if c)
     return omega, starting
 
 
@@ -196,8 +198,9 @@ def _build(k: int, i: int, alpha: float, n_max: int) -> WeightTable:
 def weight_table(scheme, alpha: float, n_max: int) -> WeightTable:
     """Cached weight table for n = 0..n_max.
 
-    The cache key uses the exact bit pattern of alpha; lru_cache keeps the
-    lookup thread-safe.
+    The cache key uses the exact bit pattern of alpha.  The lookup is
+    thread-safe: lru_cache guards the tables, a lock the shared moment
+    arrays, and a build publishes only finished, read-only arrays.
     """
     s = _as_scheme(scheme)
     return _build(s.k, s.i, require_alpha(alpha), require_count(n_max, "n_max"))

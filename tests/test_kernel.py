@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from fracstep import backward_diff, kernel_table
-from fracstep.kernel import _power_moments, dbinom_poly
+from fracstep import backward_diff, kernel, kernel_table
+from fracstep.kernel import _moments_gauss, _power_moments, dbinom_poly
 
 ALPHAS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -98,11 +98,33 @@ PREFIX_ALPHAS = (0.05, 0.3, 0.5, 0.7, 0.95)
 
 
 def test_power_moments_are_prefixes():
-    # the moments up to n must not depend on how many more the batch holds
+    # uncached: a moment must not depend on the other n in its batch, so the
+    # cache may serve a slice of a longer batch or append a batch of new columns
     for alpha in PREFIX_ALPHAS:
-        long = _power_moments(alpha, 6000)
-        for n in (0, 1, 2, 5, 17, 33, 300, 1999):
-            assert np.array_equal(_power_moments(alpha, n), long[:, : n + 1]), (alpha, n)
+        long = _moments_gauss(alpha, np.arange(1, 6001))
+        for n in (1, 2, 5, 17, 33, 300, 1999):
+            assert np.array_equal(_moments_gauss(alpha, np.arange(1, n + 1)), long[:, :n]), (alpha, n)
+            assert np.array_equal(_moments_gauss(alpha, np.arange(n + 1, 6001)), long[:, n:]), (alpha, n)
+
+
+def test_moment_cache_is_read_only_and_bounded():
+    kernel._moments.clear()
+    bound = kernel._MOMENT_ALPHAS
+    alphas = [0.02 + 0.96 * j / (bound + 4) for j in range(bound + 5)]
+    for alpha in alphas:
+        for n in (40, 7, 90):   # extend, slice, extend
+            J = _power_moments(alpha, n)
+            assert J.shape == (3, n + 1)
+            assert not J.flags.writeable
+            with pytest.raises(ValueError):
+                J[0, 0] = 1.0
+            assert len(kernel._moments) <= bound
+        assert kernel._moments[alpha].shape == (3, 91)
+    assert list(kernel._moments) == alphas[-bound:]   # least recently used dropped first
+    assert all(not J.flags.writeable for J in kernel._moments.values())
+    for alpha in alphas[-3:]:
+        J = kernel._moments[alpha]
+        assert np.array_equal(J[:, 1:], _moments_gauss(alpha, np.arange(1, 91)))
 
 
 def test_kernel_table_is_prefix_of_longer_table():

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from fracstep import ALL_SCHEMES, boundary_locus, in_stability_region, weight_table
-from fracstep.stability import phi_at, series_diagnostics
+from fracstep import ALL_SCHEMES, SchemeId, boundary_locus, in_stability_region, weight_table
+from fracstep.stability import _DEFAULT_TERMS, _locus_samples, phi_at, series_diagnostics
 
 # zeta(pi) = sum_n (-1)^n omega_n for the truncated locus with 6000 terms.
 HALF_TURN_REFERENCE = [
@@ -71,6 +71,19 @@ def test_membership_spot_verdicts(scheme, alpha, z, expected):
     assert v.margin > 0.0
     assert v.stable is (expected == "inside")
     assert v.winding == (0 if expected == "inside" else 1)
+
+
+@pytest.mark.parametrize("scheme, alpha, z, expected", MEMBERSHIP_CASES)
+def test_cached_locus_matches_public_curve(scheme, alpha, z, expected):
+    # margin and perimeter come with the cached samples; both must be those of the printed curve
+    v = in_stability_region(scheme, alpha, z)
+    closed = boundary_locus(scheme, alpha, samples=v.samples).points
+    assert v.margin == np.abs(closed[:-1] - z).min()
+    s = SchemeId(*scheme)
+    _, perimeter = _locus_samples(s.k, s.i, alpha, _DEFAULT_TERMS, v.samples)
+    segments = np.abs(np.diff(closed))
+    assert perimeter == segments[:-1].sum() + segments[-1]
+    assert perimeter == pytest.approx(math.fsum(segments), rel=1e-13)
 
 
 def test_origin_short_circuits():

@@ -1,6 +1,7 @@
 """Tests for the scheme weight tables: closed forms, consistency, limits."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from fracstep import (
     oracle_discrete_caputo,
     weight_table,
 )
+from fracstep import kernel, weights
 
 ALPHAS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -125,6 +127,44 @@ def test_weight_table_is_prefix_of_longer_table(scheme):
             tab = weight_table(scheme, alpha, n)
             assert np.array_equal(tab.omega, long.omega[: n + 1]), (alpha, n)
             assert np.array_equal(tab.starting, long.starting[: n + 1]), (alpha, n)
+
+
+def _clear_caches():
+    kernel._moments.clear()
+    weights._build.cache_clear()
+
+
+def test_tables_do_not_depend_on_build_order():
+    # the moment cache serves slices and extensions; no order may change a bit
+    alphas, lengths = (0.05, 0.3, 0.5, 0.7, 0.95), (3, 40, 2000)
+    jobs = [(s, a, n) for s in ALL_SCHEMES for a in alphas for n in lengths]
+    cold = {}
+    for s, a, n in jobs:
+        _clear_caches()
+        cold[s, a, n] = weight_table(s, a, n)
+    for order in (sorted(jobs, key=lambda j: j[2]), sorted(jobs, key=lambda j: -j[2])):
+        _clear_caches()
+        for s, a, n in order:
+            t = weight_table(s, a, n)
+            assert np.array_equal(t.omega, cold[s, a, n].omega), (s.label, a, n)
+            assert np.array_equal(t.starting, cold[s, a, n].starting), (s.label, a, n)
+
+
+def test_concurrent_builds_match_serial():
+    alpha = 0.37
+    jobs = [(s, n) for n in (2500, 40, 6000, 7, 1200) for s in ALL_SCHEMES]
+    _clear_caches()
+    serial = [weight_table(s, alpha, n) for s, n in jobs]
+    _clear_caches()
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        tables = list(pool.map(lambda job: weight_table(job[0], alpha, job[1]), jobs))
+    for (s, n), t, ref in zip(jobs, tables, serial):
+        assert np.array_equal(t.omega, ref.omega), (s.label, n)
+        assert np.array_equal(t.starting, ref.starting), (s.label, n)
+    J = kernel._moments[alpha]   # the published moments are whole and untouched
+    assert not J.flags.writeable
+    assert J.shape[1] >= 6001
+    assert np.array_equal(J[:, 1:], kernel._moments_gauss(alpha, np.arange(1, J.shape[1])))
 
 
 def test_starting_row_accessor_bounds():
