@@ -19,6 +19,7 @@ from .harness import (
     run_convergence,
     run_truncation_study,
     write_convergence_csv,
+    write_csv,
     write_trajectory_csv,
 )
 from .kernel import kernel_table
@@ -83,27 +84,18 @@ def _cmd_weights(args) -> int:
             raise ValueError("--dump-kernel needs both --q and --r")
         table = kernel_table(args.alpha, args.q, args.r, args.n_max)
 
-        def render(fh):
-            fh.write("n,value\n")
-            for n in range(args.n_max + 1):
-                fh.write(f"{n},{format_float(table.value(n))}\n")
-
-        _emit(args.output, render)
+        rows = [(n, table.value(n)) for n in range(args.n_max + 1)]
+        _emit(args.output, lambda fh: write_csv(fh, ["n", "value"], rows))
         return 0
 
     scheme = _scheme_of(args)
     table = weight_table(scheme, args.alpha, args.n_max)
 
     def render(fh):
-        fh.write("n,omega\n")
-        for n in range(args.n_max + 1):
-            fh.write(f"{n},{format_float(table.omega[n])}\n")
+        write_csv(fh, ["n", "omega"], ((n, table.omega[n]) for n in range(args.n_max + 1)))
         fh.write("\n")
-        fh.write("n,j,w\n")
-        for n in range(scheme.k, args.n_max + 1):
-            row = table.starting_row(n)
-            for j in range(scheme.k):
-                fh.write(f"{n},{j},{format_float(row[j])}\n")
+        write_csv(fh, ["n", "j", "w"], ((n, j, w) for n in range(scheme.k, args.n_max + 1)
+                                        for j, w in enumerate(table.starting_row(n))))
 
     _emit(args.output, render)
     return 0
@@ -117,8 +109,7 @@ def _cmd_solve(args) -> int:
         raise ConfigError("solve needs exactly one scheme and one alpha")
     problem = cfg.problem_for(cfg.alphas[0])
     report = solve(problem, cfg.schemes[0], GridSpec(T=cfg.T, M=cfg.single_M),
-                   starting=cfg.starting, newton=cfg.newton,
-                   hold_first_value=cfg.hold_first_value)
+                   starting=cfg.starting, newton=cfg.newton)
     _emit(args.output, lambda fh: write_trajectory_csv(report, fh, exact=problem.exact))
     if report.blowup:
         print(f"warning: blowup detected, max |u| = {report.max_abs_u:.6e}", file=sys.stderr)
@@ -128,8 +119,7 @@ def _cmd_solve(args) -> int:
 def _cmd_converge(args) -> int:
     cfg = load_config(args.config)
     rows = run_convergence(cfg.problem_for, cfg.schemes, cfg.alphas, cfg.M_list,
-                           T=cfg.T, starting=cfg.starting, newton=cfg.newton,
-                           hold_first_value=cfg.hold_first_value)
+                           T=cfg.T, starting=cfg.starting, newton=cfg.newton)
     _emit(args.output, lambda fh: write_convergence_csv(rows, fh))
     return 0
 
@@ -137,28 +127,17 @@ def _cmd_converge(args) -> int:
 def _cmd_truncation(args) -> int:
     M_list = _parse_int_list(args.M_list, "--M-list")
     samples = run_truncation_study(_scheme_of(args), args.alpha, args.degree, M_list)
-
-    def render(fh):
-        fh.write("k,i,alpha,M,max_abs,origin_max,tail_max\n")
-        for s in samples:
-            fh.write(f"{s.k},{s.i},{format_float(s.alpha)},{s.M},"
-                     f"{format_float(s.max_abs)},{format_float(s.origin_max)},"
-                     f"{format_float(s.tail_max)}\n")
-
-    _emit(args.output, render)
+    header = ["k", "i", "alpha", "M", "max_abs", "origin_max", "tail_max"]
+    rows = [(s.k, s.i, s.alpha, s.M, s.max_abs, s.origin_max, s.tail_max) for s in samples]
+    _emit(args.output, lambda fh: write_csv(fh, header, rows))
     return 0
 
 
 def _cmd_locus(args) -> int:
     given = {key: getattr(args, key) for key in ("terms", "samples") if getattr(args, key) is not None}
     curve = boundary_locus(_scheme_of(args), args.alpha, **given)
-
-    def render(fh):
-        fh.write("theta,re,im\n")
-        for theta, z in zip(curve.thetas, curve.points):
-            fh.write(f"{format_float(theta)},{format_float(z.real)},{format_float(z.imag)}\n")
-
-    _emit(args.output, render)
+    rows = [(theta, z.real, z.imag) for theta, z in zip(curve.thetas, curve.points)]
+    _emit(args.output, lambda fh: write_csv(fh, ["theta", "re", "im"], rows))
     return 0
 
 
@@ -246,7 +225,6 @@ def _build_parser() -> _Parser:
 
 
 _RUNTIME_ERRORS = (
-    ConfigError,
     MittagLefflerError,
     WeightConsistencyError,
     NewtonDivergedError,

@@ -27,6 +27,7 @@ __all__ = [
     "ExprEvalError",
     "parse",
     "evaluate",
+    "variables",
     "to_source",
     "Num",
     "Imag",
@@ -222,6 +223,19 @@ def evaluate(node, t=0.0, u=0.0) -> complex:
     if isinstance(node, str):
         node = parse(node)
     return _eval(node, complex(t), complex(u))
+
+
+def variables(node) -> set:
+    """Names of the variables ("t", "u") that an AST reads."""
+    if isinstance(node, Var):
+        return {node.name}
+    if isinstance(node, Neg):
+        return variables(node.operand)
+    if isinstance(node, BinOp):
+        return variables(node.left) | variables(node.right)
+    if isinstance(node, Call):
+        return set().union(*map(variables, node.args))
+    return set()
 
 
 def _eval(node, t, u):

@@ -12,15 +12,17 @@ Convergence runs record the endpoint error |u(t_M) - u_M| and the dyadic rate
 log2(err_{M/2} / err_M); blowup rows record the overflow magnitude instead.
 
 parse_config checks a configuration's structure (JSON shape, unknown keys,
-repeated values, `starting`, `hold_first_value`) itself and leaves the value
-rules to the library's constructors: require_alpha, SchemeId, GridSpec and
-NewtonConfig; a ValueError from any of them becomes a ConfigError.
+problem tags, repeated values) itself and leaves the value rules to the
+library's checks: require_alpha, SchemeId, GridSpec, NewtonConfig and the
+solver's starting-mode rule; a ValueError from any of them becomes a
+ConfigError.
 """
 
 import cmath
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -29,7 +31,7 @@ import numpy as np
 from . import expr as exprmod
 from .operator import GridSpec, Trajectory, apply_discrete_caputo
 from .oracle import caputo_monomial
-from .solver import NewtonConfig, ProblemSpec, SolveReport, solve
+from .solver import NewtonConfig, ProblemSpec, SolveReport, _check_starting, solve
 from .special import mittag_leffler, require_alpha, require_count, require_finite_complex
 from .weights import _as_scheme, weight_table
 
@@ -47,6 +49,7 @@ __all__ = [
     "RunConfig",
     "parse_config",
     "load_config",
+    "write_csv",
     "write_convergence_csv",
     "read_convergence_csv",
     "write_trajectory_csv",
@@ -140,7 +143,6 @@ def run_convergence(
     T: float = 1.0,
     starting: Optional[str] = None,
     newton: Optional[NewtonConfig] = None,
-    hold_first_value: bool = False,
 ) -> list:
     """Endpoint errors and dyadic rates over the (scheme, alpha, M) lattice.
 
@@ -160,8 +162,7 @@ def run_convergence(
         for a in alphas:
             prev_err = None
             for grid in grids:
-                report = solve(problems[float(a)], s, grid, starting=starting,
-                               newton=newton, hold_first_value=hold_first_value)
+                report = solve(problems[float(a)], s, grid, starting=starting, newton=newton)
                 blown = report.blowup
                 err = report.max_abs_u if blown else report.final_error
                 rate = None
@@ -228,12 +229,7 @@ def fit_order(M_list: Sequence[int], errs: Sequence[float]) -> float:
 # ---------------------------------------------------------------------------
 # configuration
 
-_TOP_KEYS = {"problem", "alpha", "schemes", "grid", "starting", "newton", "hold_first_value"}
-_PROBLEM_TAG_KEYS = {
-    "mlf_decay": {"tag"},
-    "linear_complex": {"tag", "lambda"},
-    "nonlinear_square": {"tag", "mu"},
-}
+_TOP_KEYS = {"problem", "alpha", "schemes", "grid", "starting", "newton"}
 _EXPR_PROBLEM_KEYS = {"rhs", "exact", "u0"}
 _GRID_KEYS = {"T", "M", "M_list"}
 _NEWTON_KEYS = {"tol", "max_iter"}
@@ -249,7 +245,6 @@ class RunConfig:
     single_M: Optional[int]
     starting: Optional[str]
     newton: Optional[NewtonConfig]
-    hold_first_value: bool = False
 
 
 def _reject_repeats(values, where):
@@ -275,13 +270,12 @@ def parse_complex(text) -> complex:
     s = text.strip().replace(" ", "")
     unum = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
     num = rf"[+-]?{unum}"
-    import re as _re
-    if _re.fullmatch(num, s):
+    if re.fullmatch(num, s):
         return complex(float(s), 0.0)
-    m = _re.fullmatch(rf"({num})([+-])({unum})?i", s)
+    m = re.fullmatch(rf"({num})([+-])({unum})?i", s)
     if m:
         return complex(float(m.group(1)), float(m.group(2) + (m.group(3) or "1")))
-    m = _re.fullmatch(rf"([+-]?)({unum})?i", s)
+    m = re.fullmatch(rf"([+-]?)({unum})?i", s)
     if m:
         return complex(0.0, float((m.group(1) or "") + (m.group(2) or "1")))
     raise ConfigError(f"cannot parse complex value {text!r} (expected RE, IMi or RE+IMi)")
@@ -304,6 +298,8 @@ def _expression_problem(spec: dict) -> Callable[[float], ProblemSpec]:
                 raise ConfigError(f"problem.{key} must be an object {{\"expr\": \"...\"}}")
     rhs_ast = exprmod.parse(spec["rhs"]["expr"])
     exact_ast = exprmod.parse(spec["exact"]["expr"]) if "exact" in spec else None
+    if exact_ast is not None and "u" in exprmod.variables(exact_ast):
+        raise ConfigError("problem.exact must be a function of t alone; it reads u")
     if "u0" in spec:
         u0 = parse_complex(spec["u0"])
     elif exact_ast is not None:
@@ -325,27 +321,36 @@ def _expression_problem(spec: dict) -> Callable[[float], ProblemSpec]:
     return factory
 
 
+def _builtin_problems() -> dict:
+    """tag -> (factory, key of its complex parameter or None).
+
+    Built on each call, so a factory replaced on this module (say, wrapped to
+    time it) is the one a config gets.
+    """
+    return {
+        "mlf_decay": (mlf_decay, None),
+        "linear_complex": (linear_complex, "lambda"),
+        "nonlinear_square": (nonlinear_square, "mu"),
+    }
+
+
 def problem_factory(spec: dict):
     """Problem factory alpha -> ProblemSpec from the config 'problem' object."""
     if not isinstance(spec, dict):
         raise ConfigError(f"problem must be an object, got {type(spec).__name__}")
-    if "tag" in spec:
-        tag = spec["tag"]
-        if tag not in _PROBLEM_TAG_KEYS:
-            raise ConfigError(f"unknown problem tag {tag!r}")
-        _reject_unknown(spec, _PROBLEM_TAG_KEYS[tag], "problem")
-        if tag == "mlf_decay":
-            return mlf_decay
-        if tag == "linear_complex":
-            if "lambda" not in spec:
-                raise ConfigError("linear_complex needs a 'lambda' value")
-            lam = parse_complex(spec["lambda"])
-            return lambda a: linear_complex(a, lam)
-        if "mu" not in spec:
-            raise ConfigError("nonlinear_square needs a 'mu' value")
-        mu = parse_complex(spec["mu"])
-        return lambda a: nonlinear_square(a, mu)
-    return _expression_problem(spec)
+    if "tag" not in spec:
+        return _expression_problem(spec)
+    tag, builtins = spec["tag"], _builtin_problems()
+    if not (isinstance(tag, str) and tag in builtins):
+        raise ConfigError(f"unknown problem tag {tag!r}")
+    make, key = builtins[tag]
+    _reject_unknown(spec, {"tag", key} - {None}, "problem")
+    if key is None:
+        return make
+    if key not in spec:
+        raise ConfigError(f"{tag} needs a '{key}' value")
+    param = parse_complex(spec[key])
+    return lambda a: make(a, param)
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -378,11 +383,6 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("grid.M_list must be a nonempty list")
 
     starting = raw.get("starting")
-    if starting is not None and starting not in ("exact", "bootstrap"):
-        raise ConfigError(f"starting must be 'exact' or 'bootstrap', got {starting!r}")
-    hold = raw.get("hold_first_value", False)
-    if not isinstance(hold, bool):
-        raise ConfigError("hold_first_value must be a boolean")
     nraw = raw.get("newton", {})
     if not isinstance(nraw, dict):
         raise ConfigError("newton must be an object")
@@ -392,6 +392,8 @@ def parse_config(raw: dict) -> RunConfig:
     try:
         alphas = tuple(require_alpha(a) for a in alpha_list)
         schemes = tuple(_as_scheme(entry) for entry in schemes_raw)
+        for s in schemes:
+            _check_starting(starting, s.k)
         grids = [GridSpec(T=grid.get("T"), M=M) for M in M_raw]
         newton = NewtonConfig(**nraw) if "newton" in raw else None
     except ValueError as exc:
@@ -399,13 +401,11 @@ def parse_config(raw: dict) -> RunConfig:
     M_list = tuple(sorted(g.M for g in grids))
     _reject_repeats(alphas, "alpha")
     _reject_repeats(M_list, "grid.M_list")
-    if hold and any(s.k != 1 for s in schemes):
-        raise ConfigError("hold_first_value applies only to k = 1 schemes")
 
     return RunConfig(problem_for=factory, alphas=alphas, schemes=schemes,
                      T=grids[0].T, M_list=M_list,
                      single_M=M_list[0] if "M" in grid else None, starting=starting,
-                     newton=newton, hold_first_value=hold)
+                     newton=newton)
 
 
 def load_config(path) -> RunConfig:
@@ -425,64 +425,68 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
-def write_convergence_csv(rows, fh) -> None:
+def _csv_cell(v):
+    if v is None:
+        return ""
+    return format_float(v) if isinstance(v, (float, np.floating)) else v
+
+
+def write_csv(fh, header, rows) -> None:
+    """One CSV table: floats by format_float, None as an empty cell, lines ending in newline."""
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["alpha", "k", "i", "M", "abs_err", "rate"])
-    for row in rows:
-        writer.writerow([
-            format_float(row.alpha), row.k, row.i, row.M,
-            format_float(row.abs_err),
-            "" if row.rate is None else format_float(row.rate),
-        ])
+    writer.writerow(header)
+    writer.writerows([_csv_cell(v) for v in row] for row in rows)
+
+
+def _csv_records(fh, header, what):
+    """The nonempty records after a header that must equal header."""
+    reader = csv.reader(fh)
+    found = next(reader)
+    if found != header:
+        raise ConfigError(f"unexpected {what} CSV header: {found}")
+    return (rec for rec in reader if rec)
+
+
+_CONVERGENCE_HEADER = ["alpha", "k", "i", "M", "abs_err", "rate"]
+_TRAJECTORY_HEADER = ["n", "t", "u_re", "u_im", "exact_re", "exact_im", "abs_err"]
+
+
+def write_convergence_csv(rows, fh) -> None:
+    write_csv(fh, _CONVERGENCE_HEADER,
+              ((r.alpha, r.k, r.i, r.M, r.abs_err, r.rate) for r in rows))
 
 
 def read_convergence_csv(fh) -> list:
-    reader = csv.reader(fh)
-    header = next(reader)
-    if header != ["alpha", "k", "i", "M", "abs_err", "rate"]:
-        raise ConfigError(f"unexpected convergence CSV header: {header}")
-    rows = []
-    for rec in reader:
-        if not rec:
-            continue
-        rows.append(ConvergenceRow(
-            alpha=float(rec[0]), k=int(rec[1]), i=int(rec[2]), M=int(rec[3]),
-            abs_err=float(rec[4]), rate=None if rec[5] == "" else float(rec[5]),
-        ))
-    return rows
+    return [
+        ConvergenceRow(alpha=float(rec[0]), k=int(rec[1]), i=int(rec[2]), M=int(rec[3]),
+                       abs_err=float(rec[4]), rate=None if rec[5] == "" else float(rec[5]))
+        for rec in _csv_records(fh, _CONVERGENCE_HEADER, "convergence")
+    ]
 
 
 def write_trajectory_csv(report: SolveReport, fh, exact: Optional[Callable] = None) -> None:
     grid = report.trajectory.grid
     values = report.trajectory.values
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["n", "t", "u_re", "u_im", "exact_re", "exact_im", "abs_err"])
-    for n in range(grid.M + 1):
+
+    def row(n):
         t = grid.node(n)
         u = values[n]
-        rec = [n, format_float(t), format_float(u.real), format_float(u.imag)]
-        if exact is not None:
-            ref = complex(exact(t))
-            rec += [format_float(ref.real), format_float(ref.imag), format_float(abs(u - ref))]
-        else:
-            rec += ["", "", ""]
-        writer.writerow(rec)
+        if exact is None:
+            return [n, t, u.real, u.imag, None, None, None]
+        ref = complex(exact(t))
+        return [n, t, u.real, u.imag, ref.real, ref.imag, abs(u - ref)]
+
+    write_csv(fh, _TRAJECTORY_HEADER, (row(n) for n in range(grid.M + 1)))
 
 
 def read_trajectory_csv(fh) -> list:
-    reader = csv.reader(fh)
-    header = next(reader)
-    if header != ["n", "t", "u_re", "u_im", "exact_re", "exact_im", "abs_err"]:
-        raise ConfigError(f"unexpected trajectory CSV header: {header}")
-    out = []
-    for rec in reader:
-        if not rec:
-            continue
-        out.append({
+    return [
+        {
             "n": int(rec[0]),
             "t": float(rec[1]),
             "u": complex(float(rec[2]), float(rec[3])),
             "exact": None if rec[4] == "" else complex(float(rec[4]), float(rec[5])),
             "abs_err": None if rec[6] == "" else float(rec[6]),
-        })
-    return out
+        }
+        for rec in _csv_records(fh, _TRAJECTORY_HEADER, "trajectory")
+    ]

@@ -125,6 +125,14 @@ def _newton_step(rhs, rhs_du, n, t, guess, omega0, ha, H, cfg, g):
     raise NewtonDivergedError(n, t, abs(omega0 * un - ha * f + H))
 
 
+def _check_starting(starting, k: int) -> None:
+    """Reject an unknown starting mode, or "hold" for a scheme with k != 1; None passes."""
+    if starting is not None and starting not in ("exact", "bootstrap", "hold"):
+        raise ValueError(f"starting must be 'exact', 'bootstrap' or 'hold', got {starting!r}")
+    if starting == "hold" and k != 1:
+        raise ValueError("starting 'hold' applies only to k = 1 schemes")
+
+
 def bootstrap_starts(problem: ProblemSpec, scheme, grid: GridSpec, newton: Optional[NewtonConfig] = None):
     """Starting values u_1..u_{k-1} from the (1,1) scheme on the grid prefix."""
     scheme = _as_scheme(scheme)
@@ -141,36 +149,31 @@ def solve(
     grid: GridSpec,
     starting: Optional[str] = None,
     newton: Optional[NewtonConfig] = None,
-    hold_first_value: bool = False,
 ) -> SolveReport:
     """March the implicit scheme across the grid and report the trajectory.
 
-    starting: "exact" (sample problem.exact; default when available) or
-    "bootstrap" (build u_1..u_{k-1} with the (1,1) scheme).  Irrelevant for
-    k = 1.  Blowup (any |u_n| > 1e30) is flagged on the report, not raised.
+    starting: "exact" (sample problem.exact; default when available),
+    "bootstrap" (build u_1..u_{k-1} with the (1,1) scheme) or "hold" (k = 1
+    only: pin u_1 = u_0 and begin stepping at n = 2, so the first interval
+    carries no update).  "exact" and "bootstrap" are irrelevant for k = 1.
+    "hold" replicates runs whose history array was primed with the initial
+    value; it costs one order of accuracy near the origin and is never the
+    right choice for new computations.  Blowup (any |u_n| > 1e30) is flagged
+    on the report, not raised.
 
     A declared forcing is evaluated on every node in one call before the first
     step, so an error in it surfaces there, and it is evaluated on the nodes
     past a non-finite step too.  rhs is evaluated at each step, once as
     rhs(t_n, 0) on the linear path and at each iterate under Newton, so rhs is
     never evaluated past a non-finite step.
-
-    hold_first_value (degree-1 schemes only): pin u_1 = u_0 and begin
-    stepping at n = 2, so the first interval carries no update.  This
-    replication mode matches runs whose history array was primed with the
-    initial value; it costs one order of accuracy near the origin and is
-    never the right choice for new computations.
     """
     scheme = _as_scheme(scheme)
     k, alpha = scheme.k, problem.alpha
     if grid.M < k:
         raise ValueError(f"grid must have at least k = {k} steps, got M = {grid.M}")
-    if hold_first_value and k != 1:
-        raise ValueError("hold_first_value applies only to k = 1 schemes")
+    _check_starting(starting, k)
     if starting is None:
         starting = "exact" if problem.exact is not None else "bootstrap"
-    if starting not in ("exact", "bootstrap"):
-        raise ValueError(f"starting must be 'exact' or 'bootstrap', got {starting!r}")
     if starting == "exact" and k > 1 and problem.exact is None:
         raise ValueError("exact starting values requested but the problem has no exact solution")
     cfg = newton or NewtonConfig()
@@ -183,7 +186,9 @@ def solve(
 
     u = np.zeros(grid.M + 1, dtype=complex)
     u[0] = problem.u0
-    if k > 1:
+    if starting == "hold":
+        u[1] = u[0]
+    elif k > 1:
         if starting == "exact":
             for j in range(1, k):
                 u[j] = require_finite_complex(problem.exact(j * h), f"exact(t_{j})")
@@ -199,11 +204,7 @@ def solve(
                 f"omega_0 - dt^alpha*lam = {denom} is below the breakdown threshold"
             )
 
-    n_start = k
-    if hold_first_value:
-        u[1] = u[0]
-        n_start = 2
-
+    n_start = 2 if starting == "hold" else k
     g = [0j] * (grid.M + 1)   # the forcing at each t_n, read as Python complex numbers
     if problem.forcing is not None:
         ts = grid.times()[n_start:]

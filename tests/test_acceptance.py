@@ -218,7 +218,7 @@ def _table_failures(rows, ref, m_list, err_ok, rate_tol):
 def test_criterion_1_decay_table_k12(report):
     t0 = time.perf_counter()
     alphas = (0.1, 0.5, 0.9)
-    rows = run_convergence(mlf_decay, [(1, 1)], alphas, DECAY_M, hold_first_value=True)
+    rows = run_convergence(mlf_decay, [(1, 1)], alphas, DECAY_M, starting="hold")
     rows += run_convergence(mlf_decay, [(2, 1), (2, 2)], alphas, DECAY_M)
     elapsed = time.perf_counter() - t0
     ref = {key: DECAY_REF[key] for key in DECAY_REF if key[0] <= 2}
@@ -247,7 +247,7 @@ def test_criterion_3_forced_linear_k12(report):
     t0 = time.perf_counter()
     alphas = (0.5, 0.3, 0.9, 0.98)
     rows = run_convergence(lambda a: linear_complex(a, LAM[a]), [(1, 1)], alphas,
-                           FORCED_M, hold_first_value=True)
+                           FORCED_M, starting="hold")
     rows += run_convergence(lambda a: linear_complex(a, LAM[a]), [(2, 1), (2, 2)],
                             alphas, FORCED_M)
     elapsed = time.perf_counter() - t0

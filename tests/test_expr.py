@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracstep import ExprEvalError, ExprSyntaxError, evaluate, parse
-from fracstep.expr import BinOp, Call, Imag, Neg, Num, Var, to_source
+from fracstep.expr import BinOp, Call, Imag, Neg, Num, Var, to_source, variables
 
 
 def test_arithmetic_basics():
@@ -46,6 +46,16 @@ def test_mlf_call():
 def test_evaluate_accepts_ast():
     node = parse("u*2")
     assert evaluate(node, u=3.0) == 6.0
+
+
+@pytest.mark.parametrize("source, names", [
+    ("3 - 2*i", set()),
+    ("exp(-t) + 1", {"t"}),
+    ("-u^2", {"u"}),
+    ("pow(t, mlf(0.5, 1, conj(u)))", {"t", "u"}),
+])
+def test_variables(source, names):
+    assert variables(parse(source)) == names
 
 
 @pytest.mark.parametrize("source, offset", [

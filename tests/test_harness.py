@@ -230,7 +230,6 @@ def test_parse_config_happy_path():
     assert cfg.starting is None
     assert cfg.newton is None
     assert cfg.problem_for is mlf_decay
-    assert cfg.hold_first_value is False
     problem = cfg.problem_for(0.3)
     assert problem.alpha == 0.3
 
@@ -241,9 +240,8 @@ def test_parse_config_single_m_and_options():
         "alpha": 0.5,
         "schemes": [[1, 1]],
         "grid": {"T": 2.0, "M": 64},
-        "starting": "exact",
+        "starting": "hold",
         "newton": {"tol": 1e-12, "max_iter": 20},
-        "hold_first_value": True,
     }
     cfg = parse_config(raw)
     assert cfg.single_M == 64
@@ -251,7 +249,7 @@ def test_parse_config_single_m_and_options():
     assert cfg.alphas == (0.5,)
     assert cfg.newton.tol == 1e-12
     assert cfg.newton.max_iter == 20
-    assert cfg.hold_first_value is True
+    assert cfg.starting == "hold"
     assert cfg.problem_for(0.5).lam == 1.0 + 2.0j
 
 
@@ -301,8 +299,8 @@ def test_parse_config_expression_problem():
     lambda raw: raw.update(grid={"T": 1.0, "M_list": []}),
     lambda raw: raw.update(grid={"T": 1.0, "M_list": [8, 0]}),
     lambda raw: raw.update(starting="middle"),
-    lambda raw: raw.update(hold_first_value="yes"),
-    lambda raw: raw.update(hold_first_value=True),  # schemes include k = 2
+    lambda raw: raw.update(hold_first_value=True),  # not a configuration key
+    lambda raw: raw.update(starting="hold"),  # schemes include k = 2
     lambda raw: raw.update(newton=[1e-12]),
     lambda raw: raw.update(newton={"tol": 1e-12, "damping": 0.5}),
     lambda raw: raw.update(newton={"tol": 0.0}),
@@ -324,6 +322,9 @@ def test_parse_config_expression_problem():
     lambda raw: raw.update(grid={"T": 1.0, "M_list": [32, 64, 64]}),
     lambda raw: raw.update(newton={"tol": "x"}),
     lambda raw: raw.update(alpha=[]),
+    lambda raw: raw.update(problem={"tag": []}),
+    lambda raw: raw.update(problem={"tag": {}}),
+    lambda raw: raw.update(problem={"rhs": {"expr": "-u"}, "exact": {"expr": "exp(-t)+u"}}),
 ])
 def test_parse_config_rejects(mangle):
     raw = _good_config()

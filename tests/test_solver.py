@@ -33,18 +33,18 @@ def test_quadratic_scheme_reference_cell():
 
 def test_hold_first_value_reference_cells():
     """Replication mode pins u_1 = u_0; it reproduces runs primed that way."""
-    held = solve(mlf_decay(0.5), (1, 1), GridSpec(T=1.0, M=20), hold_first_value=True)
+    held = solve(mlf_decay(0.5), (1, 1), GridSpec(T=1.0, M=20), starting="hold")
     assert abs(held.final_error - 3.59879e-02) <= 1e-4 * 3.59879e-02
 
     lin = solve(linear_complex(0.5, -1.0), (1, 1), GridSpec(T=1.0, M=128),
-                hold_first_value=True)
+                starting="hold")
     assert abs(lin.final_error - 1.59038e-04) <= 1e-4 * 1.59038e-04
 
 
 def test_hold_first_value_costs_accuracy():
     # The pinned first step roughly triples the endpoint error here.
     grid = GridSpec(T=1.0, M=20)
-    held = solve(mlf_decay(0.5), (1, 1), grid, hold_first_value=True)
+    held = solve(mlf_decay(0.5), (1, 1), grid, starting="hold")
     faithful = solve(mlf_decay(0.5), (1, 1), grid)
     ratio = held.final_error / faithful.final_error
     assert 2.0 < ratio < 4.0
@@ -53,12 +53,12 @@ def test_hold_first_value_costs_accuracy():
 def test_hold_first_value_only_for_degree_one():
     with pytest.raises(ValueError):
         solve(linear_complex(0.3, -1.0), (2, 1), GridSpec(T=1.0, M=8),
-              hold_first_value=True)
+              starting="hold")
 
 
 def test_hold_first_value_single_step_grid():
     report = solve(linear_complex(0.5, -1.0), (1, 1), GridSpec(T=0.1, M=1),
-                   hold_first_value=True)
+                   starting="hold")
     assert report.trajectory.values[1] == report.trajectory.values[0]
 
 
