@@ -79,6 +79,7 @@ def _scheme_of(args) -> SchemeId:
 # subcommand bodies
 
 def _cmd_weights(args) -> int:
+    scheme = _scheme_of(args)
     if args.dump_kernel:
         if args.q is None or args.r is None:
             raise ValueError("--dump-kernel needs both --q and --r")
@@ -87,8 +88,8 @@ def _cmd_weights(args) -> int:
         rows = [(n, table.value(n)) for n in range(args.n_max + 1)]
         _emit(args.output, lambda fh: write_csv(fh, ["n", "value"], rows))
         return 0
-
-    scheme = _scheme_of(args)
+    if args.q is not None or args.r is not None:
+        raise ValueError("--q and --r apply only with --dump-kernel")
     table = weight_table(scheme, args.alpha, args.n_max)
 
     def render(fh):

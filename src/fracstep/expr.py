@@ -1,20 +1,21 @@
 """A small expression language for user-supplied right-hand sides and solutions.
 
-Grammar (binary ops left-associative except '^', which is right-associative
-and binds tighter than unary minus, so -u^2 reads as -(u^2)):
+An operand is a number, i, t, u, '(' expr ')', '-' operand, or a call of a
+function in _FUNCTIONS: exp, sin, cos, abs, re, im, conj (one argument), pow
+(two), mlf (three: order, parameter, argument; the first two real).  The
+binding levels of _OPERATORS join operands: '+' '-' loosest, then '*' '/',
+then unary minus, then '^'; all but '^' are left-associative, so -u^2 is
+-(u^2) and 2^3^2 is 2^(3^2).  All arithmetic is complex.
 
-    expr   := term (('+'|'-') term)*
-    term   := factor (('*'|'/') factor)*
-    factor := '-' factor | power
-    power  := atom ('^' factor)?
-    atom   := NUMBER | 'i' | 't' | 'u' | ident '(' expr (',' expr)* ')' | '(' expr ')'
-
-Known functions: exp, sin, cos, abs, re, im, conj (one argument), pow (two),
-mlf (three: order, parameter, argument; the first two must be real).
-All arithmetic is complex.
+Nesting is bounded by _MAX_DEPTH = 256 levels, so parsing, evaluating and
+rendering stay clear of Python's recursion limit.  Each parenthesis, call and
+unary minus opens a level, and an operator's right operand sits as many levels
+deeper as its left operand's tree is tall, so a chain of n operators takes n
+levels.  A deeper source is an ExprSyntaxError.
 """
 
 import cmath
+import operator
 import re as _re
 from dataclasses import dataclass
 from typing import Tuple
@@ -38,9 +39,8 @@ __all__ = [
 ]
 
 _MAX_SOURCE_BYTES = 64 * 1024
+_MAX_DEPTH = 256
 _DIV_FLOOR = 1e-300
-
-_ARITY = {"exp": 1, "sin": 1, "cos": 1, "abs": 1, "re": 1, "im": 1, "conj": 1, "pow": 2, "mlf": 3}
 
 
 class ExprError(ValueError):
@@ -92,6 +92,55 @@ class Call:
 
 Node = (Num, Imag, Var, Neg, BinOp, Call)
 
+
+def _divide(a, b):
+    if abs(b) < _DIV_FLOOR:
+        raise ExprEvalError(f"division by near-zero value {b!r}")
+    return a / b
+
+
+def _power(a, b):
+    try:
+        return a ** b
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ExprEvalError(f"power failure: {a!r} ^ {b!r} ({exc})") from None
+
+
+def _mlf(a, b, z):
+    if abs(a.imag) > 1e-14 or abs(b.imag) > 1e-14:
+        raise ExprEvalError("mlf order and parameter must be real")
+    try:
+        return mittag_leffler(a.real, b.real, z)
+    except (ValueError, ArithmeticError) as exc:
+        raise ExprEvalError(f"mlf failure: {exc}") from None
+
+
+# name -> (arity, function of complex arguments)
+_FUNCTIONS = {
+    "exp": (1, cmath.exp),
+    "sin": (1, cmath.sin),
+    "cos": (1, cmath.cos),
+    "abs": (1, lambda z: complex(abs(z))),
+    "re": (1, lambda z: complex(z.real)),
+    "im": (1, lambda z: complex(z.imag)),
+    "conj": (1, lambda z: z.conjugate()),
+    "pow": (2, _power),
+    "mlf": (3, _mlf),
+}
+
+# symbol -> ((left, right) binding level, function of complex arguments).  An operator
+# takes the operand before it if its left level reaches the floor being parsed, and
+# parses the one after it with its right level as the floor: left + 1 makes it
+# left-associative, left right-associative.  Unary minus, "neg", has no left operand.
+_OPERATORS = {
+    "+": ((1, 2), operator.add),
+    "-": ((1, 2), operator.sub),
+    "*": ((3, 4), operator.mul),
+    "/": ((3, 4), _divide),
+    "neg": ((None, 5), operator.neg),
+    "^": ((6, 6), _power),
+}
+
 _TOKEN_RE = _re.compile(
     r"\s*(?:(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
@@ -136,71 +185,52 @@ class _Parser:
             raise ExprSyntaxError(f"expected {symbol!r}, found {text or 'end of input'!r}", off)
         return self.advance()
 
-    def parse_expr(self):
-        node = self.parse_term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = BinOp(op=text, left=node, right=self.parse_term())
-            else:
-                return node
-
-    def parse_term(self):
-        node = self.parse_factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = BinOp(op=text, left=node, right=self.parse_factor())
-            else:
-                return node
-
-    def parse_factor(self):
-        kind, text, _ = self.peek()
+    def operand(self, depth, floor):
+        """(node, tree height) of the operand at this depth whose operators reach the
+        binding level floor.  A right operand starts as deep as its left operand is
+        tall, so an operand at depth d is at most _MAX_DEPTH - d + 1 tall."""
+        kind, text, off = self.peek()
+        if depth > _MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {_MAX_DEPTH} levels", off)
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(operand=self.parse_factor())
-        return self.parse_power()
-
-    def parse_power(self):
-        base = self.parse_atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
+            node, height = self.operand(depth + 1, _OPERATORS["neg"][0][1])
+            node, height = Neg(operand=node), height + 1
+        else:
+            node, height = self.atom(depth)
+        while True:
+            kind, text, _ = self.peek()
+            if kind != "op" or text not in _OPERATORS or _OPERATORS[text][0][0] < floor:
+                return node, height
             self.advance()
-            return BinOp(op="^", left=base, right=self.parse_factor())
-        return base
+            right, right_height = self.operand(depth + height, _OPERATORS[text][0][1])
+            node, height = BinOp(op=text, left=node, right=right), 1 + max(height, right_height)
 
-    def parse_atom(self):
+    def atom(self, depth):
         kind, text, off = self.advance()
         if kind == "num":
-            return Num(value=float(text))
+            return Num(value=float(text)), 1
         if kind == "ident":
             if text == "i":
-                return Imag()
+                return Imag(), 1
             if text in ("t", "u"):
-                return Var(name=text)
-            if text in _ARITY:
+                return Var(name=text), 1
+            if text in _FUNCTIONS:
                 self.expect_op("(")
-                args = [self.parse_expr()]
-                while True:
-                    k2, t2, _ = self.peek()
-                    if k2 == "op" and t2 == ",":
-                        self.advance()
-                        args.append(self.parse_expr())
-                    else:
-                        break
+                args = [self.operand(depth + 1, 0)]
+                while self.peek()[:2] == ("op", ","):
+                    self.advance()
+                    args.append(self.operand(depth + 1, 0))
                 self.expect_op(")")
-                if len(args) != _ARITY[text]:
-                    raise ExprSyntaxError(
-                        f"{text} takes {_ARITY[text]} argument(s), got {len(args)}", off
-                    )
-                return Call(name=text, args=tuple(args))
+                arity = _FUNCTIONS[text][0]
+                if len(args) != arity:
+                    raise ExprSyntaxError(f"{text} takes {arity} argument(s), got {len(args)}", off)
+                return Call(name=text, args=tuple(a for a, _ in args)), 1 + max(h for _, h in args)
             raise ExprSyntaxError(f"unknown identifier {text!r}", off)
         if kind == "op" and text == "(":
-            node = self.parse_expr()
+            inner = self.operand(depth + 1, 0)
             self.expect_op(")")
-            return node
+            return inner
         raise ExprSyntaxError(f"expected a value, found {text or 'end of input'!r}", off)
 
 
@@ -211,7 +241,7 @@ def parse(source: str):
     if len(source.encode()) > _MAX_SOURCE_BYTES:
         raise ExprSyntaxError(f"expression longer than {_MAX_SOURCE_BYTES} bytes", 0)
     parser = _Parser(_tokenize(source))
-    node = parser.parse_expr()
+    node, _ = parser.operand(0, 0)
     kind, text, off = parser.peek()
     if kind != "end":
         raise ExprSyntaxError(f"unexpected trailing input {text!r}", off)
@@ -239,74 +269,34 @@ def variables(node) -> set:
 
 
 def _eval(node, t, u):
-    if isinstance(node, Num):
-        return complex(node.value)
-    if isinstance(node, Imag):
-        return 1j
-    if isinstance(node, Var):
+    # Operators and leaves, the most frequent nodes, are tested first.
+    if isinstance(node, BinOp) and node.op in _OPERATORS:
+        name, table, args = node.op, _OPERATORS, (_eval(node.left, t, u), _eval(node.right, t, u))
+    elif isinstance(node, Var):
         return t if node.name == "t" else u
-    if isinstance(node, Neg):
-        return -_eval(node.operand, t, u)
-    if isinstance(node, BinOp):
-        a = _eval(node.left, t, u)
-        b = _eval(node.right, t, u)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if abs(b) < _DIV_FLOOR:
-                raise ExprEvalError(f"division by near-zero value {b!r}")
-            return a / b
-        return _power(a, b)
-    if isinstance(node, Call):
-        args = [_eval(arg, t, u) for arg in node.args]
-        return _call(node.name, args)
-    raise ExprEvalError(f"malformed expression node {node!r}")
-
-
-def _power(a, b):
+    elif isinstance(node, Num):
+        return complex(node.value)
+    elif isinstance(node, Imag):
+        return 1j
+    elif isinstance(node, Neg):
+        name, table, args = "neg", _OPERATORS, (_eval(node.operand, t, u),)
+    elif isinstance(node, Call) and _FUNCTIONS.get(node.name, (None,))[0] == len(node.args):
+        name, table, args = node.name, _FUNCTIONS, [_eval(arg, t, u) for arg in node.args]
+    else:
+        raise ExprEvalError(f"malformed expression node {node!r}")
     try:
-        return a ** b
-    except (ZeroDivisionError, OverflowError) as exc:
-        raise ExprEvalError(f"power failure: {a!r} ^ {b!r} ({exc})") from None
-
-
-def _call(name, args):
-    try:
-        if name == "exp":
-            return cmath.exp(args[0])
-        if name == "sin":
-            return cmath.sin(args[0])
-        if name == "cos":
-            return cmath.cos(args[0])
-        if name == "abs":
-            return complex(abs(args[0]))
-        if name == "re":
-            return complex(args[0].real)
-        if name == "im":
-            return complex(args[0].imag)
-        if name == "conj":
-            return args[0].conjugate()
-        if name == "pow":
-            return _power(args[0], args[1])
-        if name == "mlf":
-            a, b, z = args
-            if abs(a.imag) > 1e-14 or abs(b.imag) > 1e-14:
-                raise ExprEvalError("mlf order and parameter must be real")
-            try:
-                return mittag_leffler(a.real, b.real, z)
-            except (ValueError, ArithmeticError) as exc:
-                raise ExprEvalError(f"mlf failure: {exc}") from None
+        return table[name][1](*args)
     except OverflowError as exc:
         raise ExprEvalError(f"{name} overflow: {exc}") from None
-    raise ExprEvalError(f"unknown function {name!r}")  # pragma: no cover
+    except ExprError:
+        raise
+    except ValueError as exc:  # cmath on an infinite argument
+        raise ExprEvalError(f"{name} failure: {exc}") from None
 
 
 def to_source(node) -> str:
-    """Render an AST back to parseable source (round-trips to an equal tree)."""
+    """Render an AST back to parseable source: it parses to an equal tree unless
+    its parentheses, one pair per operation, nest deeper than _MAX_DEPTH."""
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Imag):

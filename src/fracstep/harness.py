@@ -264,7 +264,10 @@ def _reject_unknown(mapping, allowed, where):
 def parse_complex(text) -> complex:
     """Parse 'RE', 'IMi', or 'RE+IMi' (also accepts plain numbers)."""
     if isinstance(text, (int, float)) and not isinstance(text, bool):
-        return complex(text)
+        try:
+            return complex(text)
+        except OverflowError:
+            raise ConfigError(f"not a complex value: {text!r}") from None
     if not isinstance(text, str):
         raise ConfigError(f"not a complex value: {text!r}")
     s = text.strip().replace(" ", "")

@@ -40,7 +40,7 @@ def require_finite_complex(z, name: str = "z") -> complex:
         raise ValueError(f"{name} is not a complex scalar: {z!r}")
     try:
         z = complex(z)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name} is not a complex scalar: {z!r}") from None
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"{name} must have finite components, got {z!r}")
@@ -63,9 +63,12 @@ def require_count(value, name: str, low=0, high=None) -> int:
 
 def require_real(x, name: str) -> float:
     """x as a float, for a finite int, float or NumPy integer or floating scalar (never a bool)."""
-    if (isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
-            and math.isfinite(x)):
-        return float(x)
+    if isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool):
+        try:
+            if math.isfinite(x):
+                return float(x)
+        except OverflowError:   # an int past the float range
+            pass
     raise ValueError(f"{name} must be a finite real number, got {x!r}")
 
 

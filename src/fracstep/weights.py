@@ -175,7 +175,8 @@ def _assemble(k: int, i: int, alpha: float, n_max: int):
     return omega, starting
 
 
-@lru_cache(maxsize=48)
+# The sweep reuses only its current (scheme, alpha) table and solves repeat no key: one per scheme.
+@lru_cache(maxsize=6)
 def _build(k: int, i: int, alpha: float, n_max: int) -> WeightTable:
     omega, starting = _assemble(k, i, alpha, n_max)
     if not omega[0] > 0.0:

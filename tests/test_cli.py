@@ -250,3 +250,40 @@ def test_module_entry_point(child_env):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1.0,0.0"
+
+
+def test_weights_dump_kernel_checks_the_scheme(capsys):
+    rc, out, err = run_cli(capsys, "weights", "--k", "9", "--i", "9", "--alpha", "0.5",
+                           "--n-max", "2", "--dump-kernel", "--q", "1", "--r", "1")
+    assert rc == 2
+    assert "fracstep: error:" in err and out == ""
+
+
+def test_weights_rejects_q_and_r_without_dump_kernel(capsys):
+    rc, out, err = run_cli(capsys, "weights", "--k", "1", "--i", "1", "--alpha", "0.5",
+                           "--n-max", "2", "--q", "7")
+    assert rc == 2
+    assert "fracstep: error:" in err and out == ""
+
+
+def test_solve_rejects_int_past_the_float_range(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"problem": {"tag": "mlf_decay"}, "alpha": 1' + "0" * 400 +
+                   ', "schemes": [[2, 1]], "grid": {"T": 1.0, "M": 16}}')
+    rc, out, err = run_cli(capsys, "solve", "--config", str(cfg))
+    assert rc == 2
+    assert "fracstep: error:" in err
+
+
+@pytest.mark.parametrize("rhs, rc", [
+    ("re(" * 255 + "-u" + ")" * 255, 0),  # exactly at the nesting bound of 256
+    ("0+" * 30000 + "u", 2),
+], ids=["at_bound", "long_sum"])
+def test_solve_expression_nesting_bound(tmp_path, capsys, rhs, rc):
+    cfg = _solve_config(tmp_path, problem={"rhs": {"expr": rhs}, "u0": "1"})
+    got, out, err = run_cli(capsys, "solve", "--config", str(cfg))
+    assert got == rc
+    if rc == 0:
+        assert len(out.splitlines()) == 18
+    else:
+        assert "nested deeper than 256 levels" in err

@@ -132,3 +132,70 @@ def test_random_source_never_panics(source):
         evaluate(source, t=0.5, u=1.0 + 0.5j)
     except (ExprSyntaxError, ExprEvalError):
         pass
+
+
+_DEPTH = 256  # the parser's nesting bound, expr._MAX_DEPTH
+
+_TOO_DEEP = {
+    "parentheses": "(" * 400 + "u" + ")" * 400,
+    "unary_minus": "-" * 3000 + "u",
+    "calls": "exp(" * 300 + "u" + ")" * 300,
+    "power_chain": "^".join(["u"] * 2001),
+    "long_sum": "0+" * 30000 + "u",
+}
+
+
+@pytest.mark.parametrize("source", _TOO_DEEP.values(), ids=_TOO_DEEP.keys())
+def test_nesting_past_the_bound_is_a_syntax_error(source):
+    with pytest.raises(ExprSyntaxError, match=f"nested deeper than {_DEPTH} levels"):
+        parse(source)
+
+
+# name -> (source nested n levels deep, u, value at u); at n = _DEPTH each
+# parses and evaluates, and at n = _DEPTH + 1 it is a syntax error.
+_AT_BOUND = {
+    "parentheses": (lambda n: "(" * n + "u" + ")" * n, 0.25, 0.25),
+    "unary_minus": (lambda n: "-" * n + "u", 0.25, 0.25),
+    "calls": (lambda n: "re(" * n + "u" + ")" * n, 0.25, 0.25),
+    "power_chain": (lambda n: "^".join(["u"] * (n + 1)), 1.0, 1.0),
+    "sum": (lambda n: "0+" * n + "u", 0.25, 0.25),
+    "product": (lambda n: "u*" * n + "1", 0.5, 0.5 ** _DEPTH),
+    "sum_in_calls": (lambda n: "conj(" * (n - 128) + "u" + "+u" * 128 + ")" * (n - 128), 0.25, 0.25 * 129),
+}
+
+
+@pytest.mark.parametrize("nested, u, value", _AT_BOUND.values(), ids=_AT_BOUND.keys())
+def test_source_at_the_bound_parses_and_evaluates(nested, u, value):
+    node = parse(nested(_DEPTH))
+    assert evaluate(node, t=0.5, u=u) == value
+    assert variables(node) == {"u"}
+    assert isinstance(to_source(node), str)
+    with pytest.raises(ExprSyntaxError, match="nested deeper"):
+        parse(nested(_DEPTH + 1))
+
+
+_DEEP = {
+    # chains inside nested groups: the tree height, not only the nesting, is bounded
+    "sums_in_parentheses": "(" * 120 + ("u+" * 120 + "u)") * 120,
+    "products_under_powers": "(" * 60 + ("u*" * 250 + "u)^") * 59 + "u*" * 250 + "u)",
+    "negated_sums": "-(" * 100 + "u" + "+u)" * 100,
+    "sums_in_calls": "pow(" * 100 + "u" + ",u+u+u)" * 100,
+    "right_nested_differences": "u" + "-(u" * 150 + ")" * 150,
+}
+
+
+@pytest.mark.parametrize("source", _DEEP.values(), ids=_DEEP.keys())
+def test_deep_sources_raise_only_expression_errors(source):
+    try:
+        node = parse(source)
+        variables(node)
+        to_source(node)
+        evaluate(node, t=0.5, u=0.5)
+    except (ExprSyntaxError, ExprEvalError):
+        pass
+
+
+@pytest.mark.parametrize("source", ["cos(1e999)", "sin(1e999)", "1/(1.5e308+1.5e308*i)"])
+def test_infinite_and_huge_values_are_eval_errors(source):
+    with pytest.raises(ExprEvalError):
+        evaluate(source)

@@ -325,6 +325,11 @@ def test_parse_config_expression_problem():
     lambda raw: raw.update(problem={"tag": []}),
     lambda raw: raw.update(problem={"tag": {}}),
     lambda raw: raw.update(problem={"rhs": {"expr": "-u"}, "exact": {"expr": "exp(-t)+u"}}),
+    lambda raw: raw.update(alpha=10 ** 400),
+    lambda raw: raw.update(grid={"T": 10 ** 400, "M_list": [8, 16]}),
+    lambda raw: raw.update(newton={"tol": 10 ** 400}),
+    lambda raw: raw.update(problem={"tag": "linear_complex", "lambda": 10 ** 400}),
+    lambda raw: raw.update(problem={"rhs": {"expr": "-u"}, "u0": -10 ** 400}),
 ])
 def test_parse_config_rejects(mangle):
     raw = _good_config()

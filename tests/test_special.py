@@ -156,6 +156,20 @@ def test_require_real():
     for bad in (True, False, np.bool_(True), math.nan, -math.inf, np.float32("inf"), 1j, "1", None):
         with pytest.raises(ValueError, match="horizon T must be a finite real number"):
             require_real(bad, "horizon T")
+    for huge in (10 ** 400, -10 ** 400, 2 ** 1024):  # ints past the float range
+        with pytest.raises(ValueError, match="horizon T must be a finite real number"):
+            require_real(huge, "horizon T")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: require_finite_complex(10 ** 400, "u0"),
+    lambda: mittag_leffler(10 ** 400, 1.0, 0.5),
+    lambda: mittag_leffler(0.5, 10 ** 400, 0.5),
+    lambda: mittag_leffler(0.5, 1.0, -10 ** 400),
+], ids=["require_finite_complex", "mlf_alpha", "mlf_beta", "mlf_z"])
+def test_int_past_the_float_range_is_a_value_error(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 # Every shared input rule: a bool is never a number, real or complex.
