@@ -296,7 +296,8 @@ def _eval(node, t, u):
 
 def to_source(node) -> str:
     """Render an AST back to parseable source: it parses to an equal tree unless
-    its parentheses, one pair per operation, nest deeper than _MAX_DEPTH."""
+    its parentheses, one pair per operation or chain of minuses, nest deeper
+    than _MAX_DEPTH (a chain of n minuses takes n + 1 levels)."""
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Imag):
@@ -304,9 +305,12 @@ def to_source(node) -> str:
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Neg):
-        # Outer parentheses keep a negated base from re-associating under '^',
-        # which binds tighter than unary minus when reparsed.
-        return f"(-({to_source(node.operand)}))"
+        # A chain of minuses takes one pair of parentheses, which keeps a negated
+        # base from re-associating under '^', binding tighter than unary minus.
+        count = 0
+        while isinstance(node, Neg):
+            node, count = node.operand, count + 1
+        return f"({'-' * count}{to_source(node)})"
     if isinstance(node, BinOp):
         return f"({to_source(node.left)}{node.op}{to_source(node.right)})"
     if isinstance(node, Call):

@@ -294,19 +294,26 @@ def _expression_problem(spec: dict) -> Callable[[float], ProblemSpec]:
     _reject_unknown(spec, _EXPR_PROBLEM_KEYS, "problem")
     if "rhs" not in spec:
         raise ConfigError("expression problem needs an 'rhs' entry")
+    asts = {}
     for key in ("rhs", "exact"):
         if key in spec:
             entry = spec[key]
             if not (isinstance(entry, dict) and set(entry) == {"expr"} and isinstance(entry["expr"], str)):
                 raise ConfigError(f"problem.{key} must be an object {{\"expr\": \"...\"}}")
-    rhs_ast = exprmod.parse(spec["rhs"]["expr"])
-    exact_ast = exprmod.parse(spec["exact"]["expr"]) if "exact" in spec else None
+            try:
+                asts[key] = exprmod.parse(entry["expr"])
+            except exprmod.ExprSyntaxError as exc:
+                raise ConfigError(f"problem.{key}: {exc}") from None
+    rhs_ast, exact_ast = asts["rhs"], asts.get("exact")
     if exact_ast is not None and "u" in exprmod.variables(exact_ast):
         raise ConfigError("problem.exact must be a function of t alone; it reads u")
     if "u0" in spec:
         u0 = parse_complex(spec["u0"])
     elif exact_ast is not None:
-        u0 = exprmod.evaluate(exact_ast, t=0.0)
+        try:
+            u0 = exprmod.evaluate(exact_ast, t=0.0)
+        except exprmod.ExprEvalError as exc:
+            raise ConfigError(f"problem.exact at t = 0 (for u0): {exc}") from None
     else:
         raise ConfigError("expression problem needs 'u0' when no exact solution is given")
 

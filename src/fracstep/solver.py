@@ -5,17 +5,34 @@ weighted history sum and f = rhs(t, u) + forcing(t).  The t-only forcing, when
 a problem declares one, is evaluated on the whole grid before the first step.
 A linear rhs (lam*u + rhs(t, 0)) uses the closed form; everything else runs an
 undamped Newton iteration on rhs, adding the forcing at t_n to each value.
-History evaluation is a direct O(n) convolution per step (O(M^2) per solve):
-one BLAS product of the reversed weights with the (re, im) pairs of the past
-samples, in ordinary rounded summation: runs repeat exactly on one machine, but
-may differ across BLAS builds.
+
+The history sum is blocked after Hairer, Lubich and Schlichte (SIAM J. Sci.
+Stat. Comput. 6 (1985) 532-541), one route for the linear and the Newton step.
+The grid splits into leaves of _LEAF steps.  A step sums its lags inside its
+own leaf in plain Python; everything older, and the starting terms (one
+product before the first step), it reads from an array filled a block at a
+time.  When a leaf begins at step c, the samples u[c-s:c], s the lowest set
+bit of c, are added to the targets c..c+s-1: by a dense product with the
+Toeplitz rows of omega for at most _DENSE_ROWS targets, else by an FFT.  A
+solve costs O(M log^2 M) and one block per leaf.
+
+Rounding: the FFT kernels are zero at lags below _LEAF, where the weights are
+largest; those lags, from the last leaf into the next, go through a dense
+product, so the FFT error scales with omega at lag _LEAF and beyond.  The
+sum is ordinary rounded floating point: runs repeat bit for bit on one
+machine, but another BLAS or FFT build may change the last bits.  Against the
+exactly rounded history sum, trajectories at M = 2048 agree to 2e-15
+relative, as the direct sum did.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .operator import GridSpec, Trajectory
 from .special import require_alpha, require_count, require_finite_complex, require_real
@@ -34,6 +51,8 @@ __all__ = [
 _BLOWUP_THRESHOLD = 1e30
 _PIVOT_REL_TOL = 1e-14
 _FD_STEP_SCALE = 1.5e-8   # finite-difference step relative to 1 + |u|
+_LEAF = 8          # lags below this are summed directly at each step; a power of two
+_DENSE_ROWS = 256   # a block for at most this many targets is a dense product, else an FFT
 
 
 class NewtonDivergedError(RuntimeError):
@@ -101,28 +120,88 @@ class SolveReport:
     final_error: Optional[float] = None   # |u(t_M) - u_M|; None without an exact solution
 
 
+def _finite(value, name, n, t):
+    """value, or a ValueError naming the function that returned it and the step."""
+    if not cmath.isfinite(value):
+        raise ValueError(f"{name} returned a non-finite value {value!r} at step {n} (t = {t!r})")
+    return value
+
+
 def _newton_step(rhs, rhs_du, n, t, guess, omega0, ha, H, cfg, g):
     # g is the forcing at t, added to every rhs value
     un = guess
-    f = rhs(t, un) + g
+    f = _finite(rhs(t, un) + g, "rhs", n, t)
     for it in range(1, cfg.max_iter + 1):
         F = omega0 * un - ha * f + H
         if abs(F) <= cfg.tol:
             return un, it
         if rhs_du is not None:
-            fu = rhs_du(t, un)
+            fu = _finite(rhs_du(t, un), "rhs_du", n, t)
         else:
             step = _FD_STEP_SCALE * (1.0 + abs(un))
-            fu = (rhs(t, un + step) + g - f) / step
+            fu = (_finite(rhs(t, un + step) + g, "rhs", n, t) - f) / step
         J = omega0 - ha * fu
         if J == 0:
             raise NewtonDivergedError(n, t, abs(F))
         du = -F / J
         un = un + du
-        f = rhs(t, un) + g
+        f = _finite(rhs(t, un) + g, "rhs", n, t)
         if abs(du) <= cfg.tol * (1.0 + abs(un)):
             return un, it
     raise NewtonDivergedError(n, t, abs(omega0 * un - ha * f + H))
+
+
+def _pairs(z):
+    """The (re, im) float view of a complex vector, one row per entry."""
+    return z.view(np.float64).reshape(-1, 2)
+
+
+class _LeafHistory:
+    """The history sum of each step over the samples before its leaf of _LEAF steps.
+
+    values[n] starts as the starting terms of step n.  When the leaf at step c
+    begins, add_block(c) adds the samples u[c-s:c], s the lowest set bit of c,
+    to the targets c..c+s-1 (Hairer, Lubich and Schlichte 1985).  A sample j
+    and a target n in different leaves meet in exactly one block, the one of
+    the highest bit where j and n differ, at a lag s+i-j in 1..2s-1.
+    """
+
+    def __init__(self, omega, u, starting_terms):
+        self.omega, self.u, self.values = omega, u, starting_terms
+        self._u_pairs, self._value_pairs = _pairs(u), _pairs(starting_terms)
+        self._rows = {}      # s -> rows omega_{s+i-j} for block targets i, samples j
+        self._spectra = {}   # s -> FFT of omega at lags _LEAF..2s-1, zero below _LEAF
+
+    def _kernel(self, s, low):
+        """omega at lags 0..2s-1, zero below low and past the table."""
+        ker = np.zeros(2 * s)
+        top = min(2 * s, self.omega.size)
+        ker[low:top] = self.omega[low:top]
+        return ker
+
+    def _block_rows(self, s, w):
+        """rows[i, j] = omega_{s+i-j} for the targets i < w and the samples j < s of a block."""
+        windows = sliding_window_view(self._kernel(s, 1)[::-1], s)   # windows[p, j] = ker[2s-1-p-j]
+        return np.ascontiguousarray(windows[s - w : s][::-1])
+
+    def add_block(self, c):
+        s = c & -c
+        w = min(s, self.values.size - c)   # targets on the grid
+        if w <= _DENSE_ROWS:
+            rows = self._rows.get(s)
+            if rows is None:   # a level's first block has the most targets
+                rows = self._rows[s] = self._block_rows(s, w)
+            self._value_pairs[c : c + w] += rows[:w] @ self._u_pairs[c - s : c]
+            return
+        spectrum = self._spectra.get(s)
+        if spectrum is None:
+            spectrum = self._spectra[s] = np.fft.fft(self._kernel(s, _LEAF))
+        block = np.fft.fft(self.u[c - s : c], 2 * s)
+        # a circular convolution of length 2s: outputs s..2s-1 do not wrap
+        self.values[c : c + w] += np.fft.ifft(block * spectrum)[s : s + w]
+        # The lags below _LEAF, left out of the FFT: from the last leaf into this one
+        carry = np.triu(self._block_rows(_LEAF, _LEAF), 1)
+        self._value_pairs[c : c + _LEAF] += carry @ self._u_pairs[c - _LEAF : c]
 
 
 def _check_starting(starting, k: int) -> None:
@@ -165,7 +244,9 @@ def solve(
     step, so an error in it surfaces there, and it is evaluated on the nodes
     past a non-finite step too.  rhs is evaluated at each step, once as
     rhs(t_n, 0) on the linear path and at each iterate under Newton, so rhs is
-    never evaluated past a non-finite step.
+    never evaluated past a non-finite step.  A non-finite rhs value makes a
+    non-finite step on the linear path; under Newton a non-finite rhs or
+    rhs_du value raises ValueError naming the step.
     """
     scheme = _as_scheme(scheme)
     k, alpha = scheme.k, problem.alpha
@@ -216,27 +297,37 @@ def solve(
     iters = np.zeros(grid.M + 1, dtype=int)
     max_abs = max(abs(complex(v)) for v in u[:n_start])
     blowup = max_abs > _BLOWUP_THRESHOLD
-    rev = np.ascontiguousarray(omega[:0:-1])
-    pairs = u.view(np.float64).reshape(-1, 2)
+    past = _LeafHistory(omega, u, (table.starting @ _pairs(u[:k])).view(complex).ravel())
+    before = past.values[:_LEAF].tolist()
+    near = [omega[j:0:-1].tolist() for j in range(_LEAF)]   # omega_j..omega_1
+    c, leaf = 0, u[:n_start].tolist()   # the leaf's first step and its samples so far
+    un = leaf[-1]
     rhs, rhs_du = problem.rhs, problem.rhs_du
     for n in range(n_start, grid.M + 1):
-        re, im = rev[-n:] @ pairs[:n] + table.starting[n] @ pairs[:k]
-        H = complex(re, im)
+        j = n - c
+        if j == _LEAF:   # n_start < _LEAF
+            u[c:n] = leaf
+            c, j, leaf = n, 0, []
+            past.add_block(n)
+            before = past.values[n : n + _LEAF].tolist()
+        H = before[j] + sum(map(mul, near[j], leaf))
         t = n * h
         if linear:
             un = (ha * (rhs(t, 0j) + g[n]) - H) / denom
         else:
-            un, iters[n] = _newton_step(rhs, rhs_du, n, t, u[n - 1], omega0, ha, H, cfg, g[n])
-        u[n] = un
+            un, iters[n] = _newton_step(rhs, rhs_du, n, t, un, omega0, ha, H, cfg, g[n])
+        leaf.append(un)
         a = abs(un)
         if not math.isfinite(a):
             blowup = True
-            u[n + 1 :] = np.nan
             break
         if a > max_abs:
             max_abs = a
         if a > _BLOWUP_THRESHOLD:
             blowup = True
+    end = c + len(leaf)
+    u[c:end] = leaf
+    u[end:] = np.nan   # past a non-finite step
 
     final_error = None
     if problem.exact is not None:

@@ -252,6 +252,19 @@ def test_module_entry_point(child_env):
     assert proc.stdout.strip() == "1.0,0.0"
 
 
+def test_solve_reports_a_nonfinite_rhs_value(tmp_path, child_env):
+    # exp(1e999*i) evaluates to nan+nanj without raising; Newton must not run on it
+    cfg = _solve_config(tmp_path, problem={"rhs": {"expr": "exp(1e999*i) - u"}, "u0": "1"},
+                        schemes=[[1, 1]], grid={"T": 1.0, "M": 8})
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "fracstep", "solve", "--config", str(cfg)],
+        capture_output=True, text=True, timeout=60, env=child_env,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == ("fracstep: error: rhs returned a non-finite value (nan+nanj) "
+                           "at step 1 (t = 0.125)\n")
+
+
 def test_weights_dump_kernel_checks_the_scheme(capsys):
     rc, out, err = run_cli(capsys, "weights", "--k", "9", "--i", "9", "--alpha", "0.5",
                            "--n-max", "2", "--dump-kernel", "--q", "1", "--r", "1")

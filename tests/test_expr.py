@@ -93,9 +93,14 @@ def test_eval_errors():
 
 
 def test_to_source_round_trips():
-    for source in ["2^3^2", "-u^2", "mlf(0.5, 1, -t)", "exp(i*t)/(1+u)", "pow(t, 2) - i"]:
+    for source in ["2^3^2", "-u^2", "mlf(0.5, 1, -t)", "exp(i*t)/(1+u)", "pow(t, 2) - i",
+                   "--u^2", "(--u)^2", "2^-(-t)", "u - -u", "-" * 86 + "u", "-" * 255 + "u"]:
         node = parse(source)
         assert parse(to_source(node)) == node
+    # a chain of minuses renders inside one pair of parentheses: n + 1 levels
+    assert to_source(parse("---u")) == "(---u)"
+    with pytest.raises(ExprSyntaxError, match="nested deeper"):
+        parse(to_source(parse("-" * 256 + "u")))
 
 
 _FUNCS = {"exp": 1, "sin": 1, "cos": 1, "abs": 1, "re": 1, "im": 1,

@@ -330,6 +330,9 @@ def test_parse_config_expression_problem():
     lambda raw: raw.update(newton={"tol": 10 ** 400}),
     lambda raw: raw.update(problem={"tag": "linear_complex", "lambda": 10 ** 400}),
     lambda raw: raw.update(problem={"rhs": {"expr": "-u"}, "u0": -10 ** 400}),
+    lambda raw: raw.update(problem={"rhs": {"expr": "1 2"}, "u0": 1}),
+    lambda raw: raw.update(problem={"rhs": {"expr": "-u"}, "exact": {"expr": "exp(("}}),
+    lambda raw: raw.update(problem={"rhs": {"expr": "-u"}, "exact": {"expr": "exp(1/t)"}}),
 ])
 def test_parse_config_rejects(mangle):
     raw = _good_config()

@@ -20,8 +20,8 @@ from fracstep import (
     weight_table,
 )
 from fracstep.harness import fit_order
-from fracstep.operator import compensated_cdot
-from fracstep.solver import bootstrap_starts
+from fracstep.operator import apply_discrete_caputo, compensated_cdot
+from fracstep.solver import _DENSE_ROWS, _LEAF, _newton_step, bootstrap_starts
 
 
 def test_quadratic_scheme_reference_cell():
@@ -106,22 +106,35 @@ def test_newton_divergence_reported():
     assert f"step {step} " in str(info.value)
 
 
-def _reference_linear_solve(problem, scheme, grid):
-    """Exact-started closed-form stepping with an exactly rounded history sum.
+def _reference_solve(problem, scheme, grid, head=None, newton=None):
+    """Stepping with an exactly rounded history sum.
 
-    problem states its whole right-hand side in rhs (no forcing).
+    problem states its whole right-hand side in rhs (no forcing).  head holds
+    the values before the first step, by default the exact solution at
+    t_0..t_{k-1}.  A problem with lam takes the closed-form step, any other
+    the solver's own Newton step.
     """
     table = weight_table(scheme, problem.alpha, grid.M)
     k, h = table.scheme.k, grid.dt
     ha = h ** problem.alpha
-    denom = table.omega[0] - ha * problem.lam
-    u = np.array([problem.exact(j * h) for j in range(k)] + [0.0] * (grid.M + 1 - k),
-                 dtype=complex)
-    for n in range(k, grid.M + 1):
+    omega0 = float(table.omega[0])
+    if head is None:
+        head = [problem.exact(j * h) for j in range(k)]
+    u = np.array(list(head) + [0.0] * (grid.M + 1 - len(head)), dtype=complex)
+    for n in range(len(head), grid.M + 1):
         w = np.concatenate((table.omega[n:0:-1], table.starting[n]))
         H = compensated_cdot(w, np.concatenate((u[:n], u[:k])))
-        u[n] = (ha * problem.rhs(n * h, 0.0) - H) / denom
+        if problem.lam is not None:
+            u[n] = (ha * problem.rhs(n * h, 0.0) - H) / (omega0 - ha * problem.lam)
+        else:
+            u[n] = _newton_step(problem.rhs, problem.rhs_du, n, n * h, complex(u[n - 1]),
+                                omega0, ha, H, newton, 0j)[0]
     return u
+
+
+def _reference_linear_solve(problem, scheme, grid):
+    """Exact-started closed-form stepping with an exactly rounded history sum."""
+    return _reference_solve(problem, scheme, grid)
 
 
 @pytest.mark.parametrize("problem, scheme", [
@@ -330,3 +343,111 @@ def test_forcing_errors_surface_before_the_first_step():
     with pytest.raises(ArithmeticError):
         solve(problem, (1, 1), GridSpec(T=1.0, M=8))
     assert calls == [8]   # one call, for t_1..t_8
+
+
+# Grids that end at the edges of the blocked history: around the first leaf of
+# _LEAF steps and the first far blocks, around a dense level of _DENSE_ROWS
+# targets, at the first FFT block (3 * _DENSE_ROWS clips the level-2D block to
+# D + 1 targets) and past a full FFT block.
+_B, _D = _LEAF, _DENSE_ROWS
+BLOCK_M = [_B - 1, _B, _B + 1, 2 * _B, 2 * _B + 1, _D - 1, _D, _D + 1, 3 * _D - 1, 3 * _D, 4 * _D + 1]
+
+
+def _block_grids(k):
+    return [GridSpec(T=1.0, M=M) for M in sorted({k, *BLOCK_M}) if M >= k]
+
+
+def _rel_dev(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_blocked_history_matches_exactly_rounded_reference(scheme, per_node):
+    problem = linear_complex(0.5, -1.0 + 0.5j)
+    for grid in _block_grids(scheme[0]):
+        got = solve(problem, scheme, grid, starting="exact").trajectory.values
+        ref = _reference_solve(per_node(problem), scheme, grid)
+        assert _rel_dev(got, ref) <= 1e-13, grid.M
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_blocked_history_on_the_newton_path(scheme, per_node):
+    cfg = NewtonConfig(tol=1e-15)
+    nonlinear = nonlinear_square(0.5, -1.0 + 0.5j)
+    linear = linear_complex(0.5, -1.0 + 0.5j)
+    for grid in _block_grids(scheme[0]):
+        got = solve(nonlinear, scheme, grid, newton=cfg).trajectory.values
+        ref = _reference_solve(per_node(nonlinear), scheme, grid, newton=cfg)
+        assert _rel_dev(got, ref) <= 1e-13, grid.M
+        # the same history under both steps: a linear spec without lam steps by Newton
+        direct = solve(linear, scheme, grid).trajectory.values
+        newton = solve(dataclasses.replace(linear, lam=None), scheme, grid, newton=cfg)
+        assert np.max(np.abs(newton.trajectory.values - direct)) <= 1e-12, grid.M
+
+
+@pytest.mark.parametrize("starting, scheme", [("hold", (1, 1)), ("bootstrap", (2, 2)),
+                                              ("bootstrap", (3, 1))])
+def test_blocked_history_under_each_starting_mode(starting, scheme, per_node):
+    problem = linear_complex(0.5, -1.0 + 0.5j)
+    folded = per_node(problem)
+    k = scheme[0]
+    for grid in _block_grids(k):
+        if starting == "hold":
+            head = [problem.u0, problem.u0]   # stepping begins at n = 2
+        else:   # the (1,1) scheme on the prefix grid of k - 1 < _LEAF steps
+            prefix = GridSpec(T=grid.dt * (k - 1), M=k - 1)
+            head = _reference_solve(folded, (1, 1), prefix)
+        got = solve(problem, scheme, grid, starting=starting).trajectory.values
+        ref = _reference_solve(folded, scheme, grid, head=head)
+        assert _rel_dev(got, ref) <= 1e-13, grid.M
+
+
+@pytest.mark.parametrize("bad", [_B + 3, 2 * _B, _D], ids=["in_a_leaf", "at_a_leaf_start", "at_a_dense_level"])
+def test_nonfinite_step_at_the_edges_of_the_blocks(bad):
+    grid = GridSpec(T=1.0, M=2 * _D)
+    cut = (bad - 0.5) * grid.dt
+
+    def rhs(t, u):
+        return (math.inf if t > cut else 1.0) - u
+
+    clean = solve(ProblemSpec(alpha=0.5, u0=1.0, rhs=lambda t, u: 1.0 - u, lam=-1.0), (2, 1), grid)
+    report = solve(ProblemSpec(alpha=0.5, u0=1.0, rhs=rhs, lam=-1.0), (2, 1), grid)
+    values = report.trajectory.values
+    assert report.blowup
+    assert np.array_equal(values[:bad], clean.trajectory.values[:bad])
+    assert not np.isfinite(values[bad])
+    assert np.all(np.isnan(values[bad + 1:]))
+    # under Newton the same rhs value is an error that names the step
+    with pytest.raises(ValueError, match=f"non-finite value .* at step {bad} "):
+        solve(ProblemSpec(alpha=0.5, u0=1.0, rhs=rhs), (2, 1), grid)
+
+
+def test_newton_names_a_nonfinite_rhs_du_value():
+    problem = ProblemSpec(alpha=0.5, u0=1.0, rhs=lambda t, u: -u * u, rhs_du=lambda t, u: math.nan)
+    with pytest.raises(ValueError, match="rhs_du returned a non-finite value nan at step 1 "):
+        solve(problem, (1, 1), GridSpec(T=1.0, M=8))
+
+
+def test_blocked_history_satisfies_the_scheme_at_2_to_the_15():
+    # At M = 2^15 an exactly rounded solve is too slow; instead the returned
+    # trajectory must satisfy the scheme, D u_n = rhs(t_n, u_n) + forcing(t_n),
+    # with D u_n one compensated sum (apply_discrete_caputo), at block edges,
+    # the last step and a few random n.
+    problem, scheme = mlf_decay(0.5), (3, 3)
+    grid = GridSpec(T=1.0, M=2 ** 15)
+    traj = solve(problem, scheme, grid).trajectory
+    table = weight_table(scheme, problem.alpha, grid.M)
+    u, t = traj.values, grid.times()
+    M = grid.M
+    edges = {3, _B - 1, _B, 2 * _B + 1, _D, _D + 1, 3 * _D, 4 * _D, 2 ** 12 + 1, 2 ** 14 - 1, 2 ** 14,
+             2 ** 14 + 1, 3 * 2 ** 13, M - _B, M - 1, M}
+    ns = sorted(edges | set(np.random.default_rng(15).integers(3, M, 4).tolist()))
+    forcing = problem.forcing(t[ns])
+    worst = 0.0
+    for n, g in zip(ns, forcing):
+        lhs = apply_discrete_caputo(table, traj, n)
+        # the size of the sum's terms, in the units of D u_n
+        scale = grid.dt ** -problem.alpha * (np.abs(table.omega[n::-1] * u[: n + 1]).sum()
+                                             + np.abs(table.starting[n] * u[:3]).sum())
+        worst = max(worst, abs(lhs - (problem.rhs(t[n], u[n]) + g)) / scale)
+    assert worst <= 1e-14
