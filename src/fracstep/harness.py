@@ -13,9 +13,9 @@ log2(err_{M/2} / err_M); blowup rows record the overflow magnitude instead.
 
 parse_config checks a configuration's structure (JSON shape, unknown keys,
 problem tags, repeated values) itself and leaves the value rules to the
-library's checks: require_alpha, SchemeId, GridSpec, NewtonConfig and the
-solver's starting-mode rule; a ValueError from any of them becomes a
-ConfigError.
+library's checks: require_alpha, ProblemSpec (built once, for the first
+alpha), SchemeId, GridSpec, NewtonConfig and the solver's starting-mode rule;
+a ValueError from any of them becomes a ConfigError.
 """
 
 import cmath
@@ -23,7 +23,7 @@ import csv
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -124,6 +124,36 @@ def nonlinear_square(alpha: float, mu) -> ProblemSpec:
 # ---------------------------------------------------------------------------
 # convergence study
 
+class _GridForcing:
+    """forcing on t_1..t_M of one grid, evaluated at the first call and sliced after.
+
+    A call on a tail t_j..t_M of those nodes returns the same values as
+    forcing(t) itself: the forcings evaluate node by node.  Any other t goes
+    to forcing.
+    """
+
+    def __init__(self, forcing, grid):
+        self._forcing, self._times, self._values = forcing, grid.times()[1:], None
+
+    def __call__(self, t):
+        m = self._times.size
+        if not (isinstance(t, np.ndarray) and t.size <= m
+                and np.array_equal(t, self._times[m - t.size:])):
+            return self._forcing(t)
+        if self._values is None:
+            self._values = np.asarray(self._forcing(self._times), dtype=complex)
+        if self._values.shape != self._times.shape:
+            return self._forcing(t)   # its own shape error, for the nodes asked for
+        return self._values[m - t.size:]
+
+
+def _on_grid(problem: ProblemSpec, grid: GridSpec) -> ProblemSpec:
+    """problem with its forcing, if any, evaluated once on the grid's nodes."""
+    if problem.forcing is None:
+        return problem
+    return replace(problem, forcing=_GridForcing(problem.forcing, grid))
+
+
 @dataclass(frozen=True)
 class ConvergenceRow:
     alpha: float
@@ -148,7 +178,9 @@ def run_convergence(
 
     Rows keep the caller's order of schemes and alphas; M runs ascending.
     A repeated alpha or M raises ConfigError: it would repeat rows, and a
-    repeated M would report log2(err/err) = 0 as a measured rate.
+    repeated M would report log2(err/err) = 0 as a measured rate.  A declared
+    forcing is evaluated once per (alpha, M), on t_1..t_M, and each scheme's
+    solve reads the nodes it steps to from that one array.
     """
     _reject_repeats(alphas, "alpha")
     _reject_repeats(M_list, "M_list")
@@ -157,12 +189,13 @@ def run_convergence(
     problems = {float(a): problem_for(float(a)) for a in alphas}
     if any(p.exact is None for p in problems.values()):
         raise ValueError("a convergence run needs a problem with an exact solution")
+    cells = {(a, grid.M): _on_grid(p, grid) for a, p in problems.items() for grid in grids}
     rows = []
     for s in schemes:
         for a in alphas:
             prev_err = None
             for grid in grids:
-                report = solve(problems[float(a)], s, grid, starting=starting, newton=newton)
+                report = solve(cells[float(a), grid.M], s, grid, starting=starting, newton=newton)
                 blown = report.blowup
                 err = report.max_abs_u if blown else report.final_error
                 rate = None
@@ -307,13 +340,16 @@ def _expression_problem(spec: dict) -> Callable[[float], ProblemSpec]:
     rhs_ast, exact_ast = asts["rhs"], asts.get("exact")
     if exact_ast is not None and "u" in exprmod.variables(exact_ast):
         raise ConfigError("problem.exact must be a function of t alone; it reads u")
-    if "u0" in spec:
-        u0 = parse_complex(spec["u0"])
-    elif exact_ast is not None:
+    at0 = None
+    if exact_ast is not None:
         try:
-            u0 = exprmod.evaluate(exact_ast, t=0.0)
-        except exprmod.ExprEvalError as exc:
-            raise ConfigError(f"problem.exact at t = 0 (for u0): {exc}") from None
+            at0 = require_finite_complex(exprmod.evaluate(exact_ast, t=0.0), "the value")
+        except ValueError as exc:
+            raise ConfigError(f"problem.exact at t = 0: {exc}") from None
+    if "u0" in spec:
+        u0 = parse_complex(spec["u0"])   # ProblemSpec checks it against at0
+    elif at0 is not None:
+        u0 = at0
     else:
         raise ConfigError("expression problem needs 'u0' when no exact solution is given")
 
@@ -401,6 +437,7 @@ def parse_config(raw: dict) -> RunConfig:
     # the value rules belong to the library's constructors; a violation is a config error
     try:
         alphas = tuple(require_alpha(a) for a in alpha_list)
+        factory(alphas[0])   # the problem's own rules, such as exact(0) = u0
         schemes = tuple(_as_scheme(entry) for entry in schemes_raw)
         for s in schemes:
             _check_starting(starting, s.k)

@@ -163,6 +163,21 @@ def _solve_config(tmp_path, **overrides):
     return path
 
 
+@pytest.mark.parametrize("command", ["solve", "converge"])
+@pytest.mark.parametrize("problem, message", [
+    ({"rhs": {"expr": "-u"}, "exact": {"expr": "exp(1e300*1e300)"}},
+     "problem.exact at t = 0: the value must have finite components"),
+    ({"rhs": {"expr": "-u"}, "exact": {"expr": "2+t"}, "u0": 1},
+     "exact(0) = (2+0j) does not match u0 = (1+0j)"),
+], ids=["nonfinite", "mismatch"])
+def test_config_exact_at_the_origin_is_a_config_error(tmp_path, capsys, command, problem, message):
+    cfg = _solve_config(tmp_path, problem=problem)
+    rc, out, err = run_cli(capsys, command, "--config", str(cfg), "-o", str(tmp_path / "out.csv"))
+    assert rc == 2
+    assert err.startswith("fracstep: error: ") and message in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_solve_writes_trajectory(tmp_path, capsys):
     cfg = _solve_config(tmp_path)
     out_path = tmp_path / "traj.csv"

@@ -11,6 +11,7 @@ from fracstep import (
     ConfigError,
     ConvergenceRow,
     GridSpec,
+    NewtonConfig,
     ProblemSpec,
     SchemeId,
     build_interpolant,
@@ -136,6 +137,70 @@ def test_run_convergence_rejects_repeats(alphas, M_list, repeated):
     # a repeated M would read log2(err/err) = 0 as a measured rate
     with pytest.raises(ConfigError, match=f"{repeated} repeats"):
         run_convergence(mlf_decay, [(1, 1)], alphas, M_list)
+
+
+def _counting_mlf(monkeypatch):
+    """The shapes of the array arguments of harness.mittag_leffler, one per call."""
+    calls = []
+    original = harness.mittag_leffler
+
+    def counting(alpha, beta, z):
+        calls.append(np.shape(z))
+        return original(alpha, beta, z)
+
+    monkeypatch.setattr(harness, "mittag_leffler", counting)
+    return calls
+
+
+@pytest.mark.parametrize("schemes, starting", [([(1, 1), (3, 3), (2, 1)], None),
+                                               ([(1, 1)], "hold")], ids=["k_1_2_3", "hold"])
+def test_run_convergence_evaluates_the_forcing_once_per_alpha_and_grid(monkeypatch, schemes, starting):
+    # Each scheme starts stepping at its own node (k, or 2 under hold), and
+    # each reads its tail of the one forcing array on t_1..t_M: the rows are
+    # bit for bit those of solving each cell on its own.
+    alphas, M_list = [0.3, 0.7], [8, 16, 32]
+    newton = NewtonConfig(tol=1e-15)
+
+    def factory(a):
+        return nonlinear_square(a, -1.0 + 0.5j)
+
+    calls = _counting_mlf(monkeypatch)
+    rows = run_convergence(factory, schemes, alphas, M_list, starting=starting, newton=newton)
+    assert sorted(calls) == sorted((M,) for _ in alphas for M in M_list)
+    assert len(rows) == len(schemes) * len(alphas) * len(M_list)
+    for r in rows:
+        direct = solve(factory(r.alpha), (r.k, r.i), GridSpec(T=1.0, M=r.M),
+                       starting=starting, newton=newton)
+        assert r.abs_err == direct.final_error, (r.k, r.i, r.alpha, r.M)
+
+
+def test_run_convergence_forcing_is_evaluated_inside_the_first_solve(monkeypatch):
+    # Lazily: so the first solve of each (alpha, M) carries its forcing's cost
+    calls = _counting_mlf(monkeypatch)
+    seen = []
+    original = harness.solve
+
+    def recording(*args, **kwargs):
+        before = len(calls)
+        report = original(*args, **kwargs)
+        seen.append(len(calls) - before)
+        return report
+
+    monkeypatch.setattr(harness, "solve", recording)
+    run_convergence(lambda a: nonlinear_square(a, -1.0), [(2, 1), (1, 1)], [0.5], [8, 16])
+    assert seen == [1, 1, 0, 0]
+
+
+def test_grid_forcing_falls_back_off_the_grid_tail():
+    forcing = nonlinear_square(0.5, 1j).forcing
+    grid = GridSpec(T=1.0, M=16)
+    t = grid.times()
+    cached = harness._GridForcing(forcing, grid)
+    for tail in (t[1:], t[2:], t[3:], t[16:]):
+        assert np.array_equal(cached(tail), forcing(tail))
+    # not a tail of t_1..t_M: the forcing's own values
+    for other in (t, t[1:5], t[::2], np.array([0.25]), 0.25):
+        assert np.array_equal(cached(other), forcing(other))
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +404,23 @@ def test_parse_config_rejects(mangle):
     mangle(raw)
     with pytest.raises(ConfigError):
         parse_config(raw)
+
+
+@pytest.mark.parametrize("problem, message", [
+    ({"rhs": {"expr": "-u"}, "exact": {"expr": "exp(1e300*1e300)"}},
+     "problem.exact at t = 0: the value must have finite components, got (inf+0j)"),
+    ({"rhs": {"expr": "-u"}, "exact": {"expr": "exp(1e300*1e300)"}, "u0": 1},
+     "problem.exact at t = 0: the value must have finite components, got (inf+0j)"),
+    ({"rhs": {"expr": "-u"}, "exact": {"expr": "2+t"}, "u0": 1},
+     "exact(0) = (2+0j) does not match u0 = (1+0j)"),
+], ids=["nonfinite", "nonfinite_with_u0", "mismatch"])
+def test_parse_config_checks_exact_at_the_origin(problem, message):
+    # at parse time, not later from ProblemSpec when a problem is built
+    raw = _good_config()
+    raw["problem"] = problem
+    with pytest.raises(ConfigError) as info:
+        parse_config(raw)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("key, value, named", [("alpha", [0.3, 0.7, 0.3], "0.3"),

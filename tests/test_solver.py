@@ -402,6 +402,49 @@ def test_blocked_history_under_each_starting_mode(starting, scheme, per_node):
         assert _rel_dev(got, ref) <= 1e-13, grid.M
 
 
+def test_newton_from_the_extrapolated_start_takes_two_iterations():
+    # From 3 u_{n-1} - 3 u_{n-2} + u_{n-3} one update reaches the tolerance and
+    # a second confirms it; from u_{n-1} this solve averaged over three.
+    grid = GridSpec(T=1.0, M=1024)
+    report = solve(nonlinear_square(0.5, -1.0), (3, 3), grid, newton=NewtonConfig(tol=1e-15))
+    assert report.newton_iters[3:].mean() <= 2.1
+
+
+@pytest.mark.parametrize("starting", [None, "hold"])
+def test_newton_start_on_the_first_steps(starting, per_node):
+    # (1,1) steps from n = 1 with one past value, and from n = 2 with two
+    # under hold: the start is constant, then linear, then quadratic.
+    cfg = NewtonConfig(tol=1e-15)
+    problem = nonlinear_square(0.5, -1.0 + 0.5j)
+    for M in (1, 2, 3, 4, _B + 1):
+        if starting == "hold" and M < 2:
+            continue
+        grid = GridSpec(T=1.0, M=M)
+        report = solve(problem, (1, 1), grid, starting=starting, newton=cfg)
+        head = [problem.u0, problem.u0] if starting == "hold" else None
+        ref = _reference_solve(per_node(problem), (1, 1), grid, head=head, newton=cfg)
+        assert _rel_dev(report.trajectory.values, ref) <= 1e-13, M
+        first = 2 if starting == "hold" else 1
+        assert np.all(report.newton_iters[first:] >= 1)
+
+
+@pytest.mark.parametrize("problem, scheme, M, starting, u_M", [
+    (linear_complex(0.5, -1.0 + 0.5j), (2, 1), 40, None,
+     ("0x1.78b4afab3a625p-2", "-0x1.6faf1e7579e9cp-21")),
+    (mlf_decay(0.3), (3, 3), 600, None, ("0x1.d3a35a5ba5293p-2", "0x0.0p+0")),
+    (linear_complex(0.5, -1.0), (1, 1), 20, "hold", ("0x1.7b97ebcf544ccp-2", "0x0.0p+0")),
+    (linear_complex(0.7, 2j), (2, 2), 40, "bootstrap",
+     ("0x1.78ad7317a2dc3p-2", "-0x1.148ba0f2201ccp-18")),
+], ids=["two_leaves", "fft_block", "hold", "bootstrap"])
+def test_linear_path_endpoint_bits(problem, scheme, M, starting, u_M):
+    # The closed-form step reads nothing of the Newton path, so a change to
+    # Newton must leave these endpoints bit for bit.  The bits are those of one
+    # NumPy and libm build (x86-64, NumPy 2.4); another may move the weights,
+    # and these, in the last bits.
+    end = complex(solve(problem, scheme, GridSpec(T=1.0, M=M), starting=starting).trajectory.values[-1])
+    assert (end.real.hex(), end.imag.hex()) == u_M
+
+
 @pytest.mark.parametrize("bad", [_B + 3, 2 * _B, _D], ids=["in_a_leaf", "at_a_leaf_start", "at_a_dense_level"])
 def test_nonfinite_step_at_the_edges_of_the_blocks(bad):
     grid = GridSpec(T=1.0, M=2 * _D)
