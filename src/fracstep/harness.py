@@ -9,7 +9,7 @@ The three builtin problems all have closed-form solutions on [0, 1]:
 with the forcing g chosen so the stated u solves the equation (g =
 -E_alpha(-t^alpha) for the decay, E_{1,2-alpha} terms for the others).
 Convergence runs record the endpoint error |u(t_M) - u_M| and the dyadic rate
-log2(err_{M/2} / err_M); blowup rows record the overflow magnitude instead.
+log2(err_{M/2} / err_M); blowup rows record the largest finite |u_n| instead.
 
 parse_config checks a configuration's structure (JSON shape, unknown keys,
 problem tags, repeated values) itself and leaves the value rules to the
@@ -125,26 +125,20 @@ def nonlinear_square(alpha: float, mu) -> ProblemSpec:
 # convergence study
 
 class _GridForcing:
-    """forcing on t_1..t_M of one grid, evaluated at the first call and sliced after.
+    """forcing, with its values on t_1..t_M of one grid kept from the first such call.
 
-    A call on a tail t_j..t_M of those nodes returns the same values as
-    forcing(t) itself: the forcings evaluate node by node.  Any other t goes
-    to forcing.
+    solve asks for exactly those nodes; any other t goes to forcing.
     """
 
     def __init__(self, forcing, grid):
         self._forcing, self._times, self._values = forcing, grid.times()[1:], None
 
     def __call__(self, t):
-        m = self._times.size
-        if not (isinstance(t, np.ndarray) and t.size <= m
-                and np.array_equal(t, self._times[m - t.size:])):
+        if not (isinstance(t, np.ndarray) and np.array_equal(t, self._times)):
             return self._forcing(t)
         if self._values is None:
-            self._values = np.asarray(self._forcing(self._times), dtype=complex)
-        if self._values.shape != self._times.shape:
-            return self._forcing(t)   # its own shape error, for the nodes asked for
-        return self._values[m - t.size:]
+            self._values = self._forcing(self._times)
+        return self._values
 
 
 def _on_grid(problem: ProblemSpec, grid: GridSpec) -> ProblemSpec:
@@ -178,9 +172,9 @@ def run_convergence(
 
     Rows keep the caller's order of schemes and alphas; M runs ascending.
     A repeated alpha or M raises ConfigError: it would repeat rows, and a
-    repeated M would report log2(err/err) = 0 as a measured rate.  A declared
-    forcing is evaluated once per (alpha, M), on t_1..t_M, and each scheme's
-    solve reads the nodes it steps to from that one array.
+    repeated M would report log2(err/err) = 0 as a measured rate.  Every
+    solve asks for a declared forcing on t_1..t_M, so it is evaluated once
+    per (alpha, M), inside that grid's first solve.
     """
     _reject_repeats(alphas, "alpha")
     _reject_repeats(M_list, "M_list")
@@ -494,19 +488,20 @@ def _csv_records(fh, header, what):
     return (rec for rec in reader if rec)
 
 
-_CONVERGENCE_HEADER = ["alpha", "k", "i", "M", "abs_err", "rate"]
+_CONVERGENCE_HEADER = ["alpha", "k", "i", "M", "abs_err", "rate", "blowup"]
 _TRAJECTORY_HEADER = ["n", "t", "u_re", "u_im", "exact_re", "exact_im", "abs_err"]
 
 
 def write_convergence_csv(rows, fh) -> None:
     write_csv(fh, _CONVERGENCE_HEADER,
-              ((r.alpha, r.k, r.i, r.M, r.abs_err, r.rate) for r in rows))
+              ((r.alpha, r.k, r.i, r.M, r.abs_err, r.rate, int(r.blowup)) for r in rows))
 
 
 def read_convergence_csv(fh) -> list:
     return [
         ConvergenceRow(alpha=float(rec[0]), k=int(rec[1]), i=int(rec[2]), M=int(rec[3]),
-                       abs_err=float(rec[4]), rate=None if rec[5] == "" else float(rec[5]))
+                       abs_err=float(rec[4]), rate=None if rec[5] == "" else float(rec[5]),
+                       blowup=bool(int(rec[6])))
         for rec in _csv_records(fh, _CONVERGENCE_HEADER, "convergence")
     ]
 

@@ -164,19 +164,14 @@ def kernel_table(alpha: float, q: int, r: int, n_max: int) -> KernelTable:
     """I_{n,q}^r for n = 0..n_max, with 1 <= q, r <= 3 and n_max >= 0."""
     alpha = require_alpha(alpha)
     c = dbinom_poly(q, r)
-    vals = _kernel_values(c, _power_moments(alpha, require_count(n_max, "n_max")), alpha)
-    vals.flags.writeable = False
-    return KernelTable(alpha=alpha, q=int(q), r=int(r), values=vals)
-
-
-def _kernel_values(c, J, alpha):
-    """I_{n,q}^r over the columns of J, from the coefficients c = dbinom_poly(q, r)."""
+    J = _power_moments(alpha, require_count(n_max, "n_max"))
     vals = np.zeros(J.shape[1])
     for m, cm in enumerate(c):
         if cm != 0.0:
             vals += cm * J[m]
     vals /= math.gamma(1.0 - alpha)
-    return vals
+    vals.flags.writeable = False
+    return KernelTable(alpha=alpha, q=int(q), r=int(r), values=vals)
 
 
 def backward_diff(seq, order: int) -> np.ndarray:

@@ -11,7 +11,7 @@ checked against each other.
 
 import math
 from dataclasses import astuple, dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -116,7 +116,7 @@ class PiecewiseInterpolant:
         if self.samples.ndim != 1 or self.samples.size < self.n + 1:
             raise ValueError(f"need at least n+1 = {self.n + 1} samples")
 
-    @property
+    @cached_property
     def layout(self):
         return piece_layout(self.k, self.i, self.n)
 

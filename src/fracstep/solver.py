@@ -2,7 +2,7 @@
 
 Each step solves omega_0 u_n - dt^alpha f(t_n, u_n) + H_n = 0 with H_n the
 weighted history sum and f = rhs(t, u) + forcing(t).  The t-only forcing, when
-a problem declares one, is evaluated on the whole grid before the first step.
+a problem declares one, is evaluated on t_1..t_M before the first step.
 A linear rhs (lam*u + rhs(t, 0)) uses the closed form; everything else runs an
 undamped Newton iteration on rhs, adding the forcing at t_n to each value,
 from a guess extrapolated from the last steps as in the predictor of Diethelm,
@@ -75,11 +75,11 @@ class ProblemSpec:
     """A fractional IVP D^alpha u = rhs(t, u) + forcing(t), u(0) = u0 on t >= 0.
 
     forcing is an optional u-free part given on an ndarray of t (it returns an
-    array of the same shape); the solver evaluates it on the whole grid in one
-    call, and absent means zero.  lam marks rhs(t, u) = lam * u + rhs(t, 0)
-    (lam = 0 for a u-free rhs); the solver then steps by the closed form.
-    rhs_du is the u-derivative of rhs for Newton; omitted means finite
-    differences.
+    array of the same shape); the solver evaluates it on the grid's nodes
+    t_1..t_M in one call, and absent means zero.  lam marks rhs(t, u) =
+    lam * u + rhs(t, 0) (lam = 0 for a u-free rhs); the solver then steps by
+    the closed form.  rhs_du is the u-derivative of rhs for Newton; omitted
+    means finite differences.
     """
 
     alpha: float
@@ -250,16 +250,16 @@ def solve(
     right choice for new computations.  Blowup (any |u_n| > 1e30) is flagged
     on the report, not raised.
 
-    A declared forcing is evaluated on every node in one call before the first
-    step, so an error in it surfaces there, and it is evaluated on the nodes
-    past a non-finite step too.  rhs is evaluated at each step: once as
-    rhs(t_n, 0) on the linear path; under Newton at the start, the quadratic
-    extrapolation 3 u_{n-1} - 3 u_{n-2} + u_{n-3} (linear, then constant, on
-    the first steps, which have fewer past values), and at each iterate that
-    the update-size test does not accept.  So rhs is never evaluated past a
-    non-finite step.  A non-finite rhs value makes a non-finite step on the
-    linear path; under Newton a non-finite rhs or rhs_du value raises
-    ValueError naming the step.
+    A declared forcing is evaluated on t_1..t_M in one call before the first
+    step, whatever the scheme and starting mode, so an error in it surfaces
+    there, and it is evaluated on the nodes past a non-finite step too.  rhs
+    is evaluated at each step: once as rhs(t_n, 0) on the linear path; under
+    Newton at the start, the quadratic extrapolation 3 u_{n-1} - 3 u_{n-2} +
+    u_{n-3} (linear, then constant, on the first steps, which have fewer past
+    values), and at each iterate that the update-size test does not accept.
+    So rhs is never evaluated past a non-finite step.  A non-finite rhs value
+    makes a non-finite step on the linear path; under Newton a non-finite rhs
+    or rhs_du value raises ValueError naming the step.
     """
     scheme = _as_scheme(scheme)
     k, alpha = scheme.k, problem.alpha
@@ -301,11 +301,11 @@ def solve(
     n_start = 2 if starting == "hold" else k
     g = [0j] * (grid.M + 1)   # the forcing at each t_n, read as Python complex numbers
     if problem.forcing is not None:
-        ts = grid.times()[n_start:]
+        ts = grid.times()[1:]   # every node that any scheme or starting mode steps to
         gs = np.asarray(problem.forcing(ts), dtype=complex)
         if gs.shape != ts.shape:
             raise ValueError(f"forcing returned shape {gs.shape} for {ts.size} grid times")
-        g[n_start:] = gs.tolist()
+        g[1:] = gs.tolist()
 
     iters = np.zeros(grid.M + 1, dtype=int)
     max_abs = max(abs(complex(v)) for v in u[:n_start])

@@ -9,8 +9,8 @@ and this module produces the omega sequence and the starting rows w_{n,.}
 by integrating the pieces that piece_layout lists against the kernel tables.
 Weight tables are cached per (scheme, alpha bit pattern, length) and
 validated at construction: the weights of every step must sum to zero
-(exactness on constants).  The power moments under the kernel tables come
-from the kernel module's per-alpha cache, so the six schemes and every table
+(exactness on constants).  The kernel tables come through kernel_table, whose
+power moments sit in a per-alpha cache, so the six schemes and every table
 length at one alpha share a single moment batch.
 """
 
@@ -21,7 +21,7 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from .kernel import _kernel_values, _power_moments, backward_diff, dbinom_poly
+from .kernel import backward_diff, dbinom_poly, kernel_table
 from .special import require_alpha, require_count
 
 __all__ = [
@@ -131,7 +131,6 @@ def _assemble(k: int, i: int, alpha: float, n_max: int):
     n_head = sum(deg < k for _, deg in layout)
     n_tail = k - n_head - 1
     q_in = layout[n_head][0]
-    J = _power_moments(alpha, n_max + q_in - 1)   # the largest kernel index read
     tables = {}
 
     @cache
@@ -139,7 +138,7 @@ def _assemble(k: int, i: int, alpha: float, n_max: int):
         # keyed by the kernel polynomial, so equal tables (every I^1_q) cancel exactly
         c = tuple(dbinom_poly(q, r))
         if c not in tables:
-            tables[c] = _kernel_values(c, J, alpha)
+            tables[c] = kernel_table(alpha, q, r, n_max + q_in - 1).values   # the largest index read
         return c
 
     # tail terms reach lags d <= k; without a tail the Toeplitz row already is the pieces' sum

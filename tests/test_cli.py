@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from fracstep import boundary_locus
+from fracstep import cli
 from fracstep.cli import main
 from fracstep.harness import format_complex, read_convergence_csv, read_trajectory_csv
 
@@ -315,3 +316,24 @@ def test_solve_expression_nesting_bound(tmp_path, capsys, rhs, rc):
         assert len(out.splitlines()) == 18
     else:
         assert "nested deeper than 256 levels" in err
+
+
+def test_write_atomic_leaves_the_target_when_render_fails(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_text("before\n")
+
+    def render(fh):
+        fh.write("partial")
+        raise RuntimeError("render failed")
+
+    with pytest.raises(RuntimeError, match="render failed"):
+        cli._write_atomic(str(target), render)
+    assert target.read_text() == "before\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]   # the temp file is gone
+
+
+def test_truncation_rejects_an_empty_m_list(capsys):
+    rc, out, err = run_cli(capsys, "truncation", "--k", "1", "--i", "1",
+                           "--alpha", "0.5", "--degree", "2", "--M-list", ",")
+    assert rc == 2
+    assert "--M-list expects at least one integer" in err

@@ -67,7 +67,7 @@ def test_nonlinear_square_jacobian():
 
 def test_nonlinear_square_forcing_evaluated_once_per_solve(monkeypatch):
     # Newton evaluates rhs = -u^2 several times at each t_n; the forcing's
-    # Mittag-Leffler term is one array call over t_k..t_M before the first step.
+    # Mittag-Leffler term is one array call over t_1..t_M before the first step.
     calls = []
     original = harness.mittag_leffler
 
@@ -79,7 +79,7 @@ def test_nonlinear_square_forcing_evaluated_once_per_solve(monkeypatch):
     M, k = 64, 2
     report = solve(nonlinear_square(0.5, -1.0), (2, 2), GridSpec(T=1.0, M=M), starting="exact")
     assert report.newton_iters.sum() > M - k + 1
-    assert calls == [(M - k + 1,)]
+    assert calls == [(M,)]
 
 
 @pytest.mark.parametrize("problem", [linear_complex(0.6, -1.0 + 0.5j),
@@ -501,3 +501,21 @@ def test_trajectory_csv_without_exact():
 def test_trajectory_csv_header_check():
     with pytest.raises(ConfigError):
         read_trajectory_csv(io.StringIO("n,t\n"))
+
+
+@pytest.mark.parametrize("u0, lam, rhs", [
+    (1.0, -1.0, lambda t, u: math.nan if t > 0.5 else 0j),   # a non-finite step
+    (0.0, 0.0, lambda t, u: 1e35),                           # past the overflow threshold
+], ids=["nonfinite", "overflow"])
+def test_convergence_csv_round_trips_blowup_rows(u0, lam, rhs):
+    # a blown-up cell's abs_err is its largest |u_n|, which without the flag
+    # reads back as an ordinary error
+    def factory(alpha):
+        return ProblemSpec(alpha=alpha, u0=u0, rhs=rhs, lam=lam, exact=lambda t: complex(u0))
+
+    rows = run_convergence(factory, [(1, 1)], [0.5], [8, 16])
+    assert all(r.blowup for r in rows)
+    buf = io.StringIO()
+    write_convergence_csv(rows, buf)
+    buf.seek(0)
+    assert read_convergence_csv(buf) == rows

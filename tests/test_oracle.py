@@ -146,3 +146,11 @@ def test_package_import_defers_scipy(child_env):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_interpolant_builds_its_layout_once():
+    # value and derivative read the layout on every call, so it is built once
+    # for the oracle to stay linear in n
+    itp = build_interpolant((3, 2), GridSpec(T=1.0, M=16), np.ones(17), 16)
+    assert itp.layout is itp.layout
+    assert itp.layout == piece_layout(3, 2, 16)

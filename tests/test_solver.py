@@ -306,8 +306,8 @@ def test_linear_builtin_evaluates_forcing_once_on_the_grid(monkeypatch, make, sc
     problem = make()   # built first: ProblemSpec checks exact(0)
     monkeypatch.setattr(harness, "mittag_leffler", counted)
     solve(problem, (3, 3), GridSpec(T=1.0, M=64))
-    # the forcing at t_3..t_64; the exact solution at t_1, t_2 and t_64
-    assert [c for c in calls if c is not None] == [(62,)]
+    # the forcing at t_1..t_64; the exact solution at t_1, t_2 and t_64
+    assert [c for c in calls if c is not None] == [(64,)]
     assert calls.count(None) == scalar_calls
 
 
@@ -494,3 +494,39 @@ def test_blocked_history_satisfies_the_scheme_at_2_to_the_15():
                                              + np.abs(table.starting[n] * u[:3]).sum())
         worst = max(worst, abs(lhs - (problem.rhs(t[n], u[n]) + g)) / scale)
     assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("scheme, starting", [((1, 1), None), ((3, 2), None), ((1, 1), "hold")],
+                         ids=["k_1", "k_3", "hold"])
+def test_forcing_is_evaluated_once_on_t_1_to_t_M(scheme, starting):
+    # the same nodes whatever the scheme and the starting mode
+    calls = []
+
+    def forcing(t):
+        calls.append(t)
+        return np.zeros(t.shape)
+
+    grid = GridSpec(T=1.0, M=16)
+    problem = ProblemSpec(alpha=0.5, u0=1.0, rhs=lambda t, u: 0j, lam=0.0,
+                          exact=lambda t: 1.0 + 0.0j, forcing=forcing)
+    solve(problem, scheme, grid, starting=starting)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], grid.times()[1:])
+
+
+def test_newton_raises_on_a_zero_jacobian():
+    grid = GridSpec(T=1.0, M=8)
+    slope = weight_table((1, 1), 0.5, grid.M).omega[0] / grid.dt ** 0.5   # J = omega_0 - dt^alpha * slope = 0
+    problem = ProblemSpec(alpha=0.5, u0=1.0, rhs=lambda t, u: -u * u, rhs_du=lambda t, u: slope)
+    with pytest.raises(NewtonDivergedError) as info:
+        solve(problem, (1, 1), grid)
+    assert info.value.step == 1
+
+
+@pytest.mark.parametrize("radius", [0.0, 1e-6], ids=["at_the_probe", "at_the_next_iterate"])
+def test_newton_names_a_nonfinite_rhs_value_after_the_start(radius):
+    # rhs is finite at the start u_0 = 1 and nan farther than radius from it:
+    # at the finite-difference probe u_0 + 3e-8, or else at the next iterate
+    problem = ProblemSpec(alpha=0.5, u0=1.0, rhs=lambda t, u: -u if abs(u - 1.0) <= radius else math.nan)
+    with pytest.raises(ValueError, match=r"rhs returned a non-finite value \(nan\+0j\) at step 1 "):
+        solve(problem, (1, 1), GridSpec(T=1.0, M=8))

@@ -84,7 +84,7 @@ def test_mittag_leffler_domain_errors():
 
 
 def test_mittag_leffler_term_cap_raises():
-    # alpha = 0.1 with |z| = 10 needs ~1e10 terms before gamma growth wins.
+    # alpha = 0.1 at z = 10: the terms overflow at k = 343, before the 400-term cap.
     with pytest.raises(MittagLefflerError):
         mittag_leffler(0.1, 1.0, 10.0)
 
@@ -259,7 +259,7 @@ def test_mittag_leffler_array_point_that_fails_the_series_raises():
     z[2] = -5.0   # cancellation past the accuracy budget
     with pytest.raises(MittagLefflerError):
         mittag_leffler(0.5, 1.0, z)
-    with pytest.raises(MittagLefflerError):   # term cap
+    with pytest.raises(MittagLefflerError):   # term overflow at k = 343
         mittag_leffler(0.1, 1.0, np.array([0.5, 10.0]))
 
 
@@ -337,3 +337,11 @@ def test_mittag_leffler_returns_on_unit_disc_for_builtin_parameters():
         mittag_leffler(1.0, 2.0 - alpha, disc)
     for alpha, beta, z, _ in MLF_REFERENCE:
         mittag_leffler(alpha, beta, np.array([z]))
+
+
+@pytest.mark.parametrize("z", [3.0, np.array([0.5, 3.0])], ids=["scalar", "array"])
+def test_mittag_leffler_stops_at_the_term_cap(z):
+    # alpha = 0.1 at z = 3: the terms neither overflow nor fall below the
+    # stopping ratio within the 400 terms
+    with pytest.raises(MittagLefflerError, match="no convergence within 400 terms"):
+        mittag_leffler(0.1, 1.0, z)
