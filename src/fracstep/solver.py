@@ -78,8 +78,9 @@ class ProblemSpec:
     array of the same shape); the solver evaluates it on the grid's nodes
     t_1..t_M in one call, and absent means zero.  lam marks rhs(t, u) =
     lam * u + rhs(t, 0) (lam = 0 for a u-free rhs); the solver then steps by
-    the closed form.  rhs_du is the u-derivative of rhs for Newton; omitted
-    means finite differences.
+    the closed form and reads rhs only at u = 0, so an rhs of another form
+    is solved as if it were lam * u + rhs(t, 0), without a warning.  rhs_du
+    is the u-derivative of rhs for Newton; omitted means finite differences.
     """
 
     alpha: float

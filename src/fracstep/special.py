@@ -20,6 +20,7 @@ _MLF_ABS_Z_MAX = 10.0
 _MLF_STOP_RATIO = 1e-17
 _MLF_UNIT_ROUNDOFF = 2.0 ** -53
 _MLF_REL_BUDGET = 1e-13
+_MLF_LOG_FORM_POWER = 1e280   # past this |z^k| the scalar loop forms terms from logs
 
 
 class MittagLefflerError(ArithmeticError):
@@ -112,6 +113,10 @@ def mittag_leffler(alpha: float, beta: float, z):
     overflowing a term raises it too.  For an array, any one failing point
     fails the call.
 
+    Once |z^k| passes 1e280 the terms are formed as exp(k log z - lgamma)
+    instead of z^k / Gamma.  Only the scalar loop has this log form; an array
+    point that reaches it is handed to the scalar loop.
+
     The domain is alpha in (0, 2], beta > 0, |z| <= 10 (ValueError outside,
     for a bool in any argument, or for a non-finite z).
     """
@@ -169,7 +174,7 @@ def mittag_leffler(alpha: float, beta: float, z):
 
         if not log_form:
             zpow *= z
-            if abs(zpow) > 1e280:
+            if abs(zpow) > _MLF_LOG_FORM_POWER:
                 log_form = True
     raise MittagLefflerError(
         f"no convergence within {_MLF_MAX_TERMS} terms for alpha={alpha}, beta={beta}, z={z}"
@@ -210,8 +215,10 @@ def _mittag_leffler_array(alpha, beta, z):
     Each array operation is the scalar loop's operation, point by point, on
     rows [re, im] (only [re] when z is real, whose imaginary parts stay zero),
     so the results match the scalar loop.  A point leaves the working set at
-    the term where the scalar loop would return; one that needs the log form
-    switches to it at the same term.
+    the term where the scalar loop would return.  A point whose next power
+    z^(k+1) passes 1e280, where the scalar loop turns to the log form of the
+    terms, leaves at that term too: it is handed to the scalar loop, whose
+    value (or error) it takes.
     """
     if z.dtype.kind not in "iufc":
         raise ValueError(f"z must be a numeric array, got dtype {z.dtype}")
@@ -230,25 +237,11 @@ def _mittag_leffler_array(alpha, beta, z):
     rounding = np.zeros(idx.size)
     p = np.zeros_like(rows)
     p[0] = 1.0                       # z^0
-    log_form = np.zeros(idx.size, dtype=bool)
     lgs, inv_gammas, weights = _mlf_coefficients(alpha, beta)
     for k, lg in enumerate(lgs):
         if not idx.size:
             return out
         term = p * (inv_gammas[k] if lg < 745.0 else 0.0)
-        if log_form.any():
-            at = log_form
-            expo = k * np.log(np.abs(zs[at])) - lg
-            if expo.max() > 700.0:
-                raise MittagLefflerError(
-                    f"series term overflow at k={k} for alpha={alpha}, beta={beta}, "
-                    f"z={zs[at][expo.argmax()]}"
-                )
-            mag, phase = np.exp(expo), k * np.angle(zs[at])
-            term[0, at] = mag * np.cos(phase)
-            if len(rows) == 2:
-                term[1, at] = mag * np.sin(phase)
-
         s, c = _neumaier(s, c, term)
         size = _norm(term)
         rounding += weights[k] * size
@@ -259,17 +252,18 @@ def _mittag_leffler_array(alpha, beta, z):
             if over.any():
                 j = over.argmax()
                 raise _cancellation(rounding[j], total[j], alpha, beta, complex(zs[j]))
+        p = _times(p, rows)
+        handed = ~done & (_norm(p) > _MLF_LOG_FORM_POWER)
+        if done.any() or handed.any():
+            for j in np.flatnonzero(handed):
+                flat[idx[j]] = mittag_leffler(alpha, beta, complex(zs[j]))
             result = s[:, done] + c[:, done]
             flat.real[idx[done]] = result[0]
             if len(rows) == 2:
                 flat.imag[idx[done]] = result[1]
-            keep = ~done
-            idx, zs, rounding, log_form = idx[keep], zs[keep], rounding[keep], log_form[keep]
+            keep = ~(done | handed)
+            idx, zs, rounding = idx[keep], zs[keep], rounding[keep]
             rows, s, c, p = rows[:, keep], s[:, keep], c[:, keep], p[:, keep]
-
-        # a log-form point keeps its last power (< 1e281), which is never read again
-        p = np.where(log_form, p, _times(p, rows))
-        log_form |= _norm(p) > 1e280
     if not idx.size:
         return out
     raise MittagLefflerError(

@@ -199,8 +199,8 @@ def weight_table(scheme, alpha: float, n_max: int) -> WeightTable:
     """Cached weight table for n = 0..n_max.
 
     The cache key uses the exact bit pattern of alpha.  The lookup is
-    thread-safe: lru_cache guards the tables, a lock the shared moment
-    arrays, and a build publishes only finished, read-only arrays.
+    thread-safe: lru_cache guards the tables and the per-alpha moment
+    batches, and a build publishes only finished, read-only arrays.
     """
     s = _as_scheme(scheme)
     return _build(s.k, s.i, require_alpha(alpha), require_count(n_max, "n_max"))

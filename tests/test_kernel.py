@@ -108,8 +108,9 @@ def test_power_moments_are_prefixes():
 
 
 def test_moment_cache_is_read_only_and_bounded():
-    kernel._moments.clear()
-    bound = kernel._MOMENT_ALPHAS
+    cache = kernel._moment_batch
+    cache.cache_clear()
+    bound = cache.cache_info().maxsize
     alphas = [0.02 + 0.96 * j / (bound + 4) for j in range(bound + 5)]
     for alpha in alphas:
         for n in (40, 7, 90):   # extend, slice, extend
@@ -118,13 +119,19 @@ def test_moment_cache_is_read_only_and_bounded():
             assert not J.flags.writeable
             with pytest.raises(ValueError):
                 J[0, 0] = 1.0
-            assert len(kernel._moments) <= bound
-        assert kernel._moments[alpha].shape == (3, 91)
-    assert list(kernel._moments) == alphas[-bound:]   # least recently used dropped first
-    assert all(not J.flags.writeable for J in kernel._moments.values())
+            assert cache.cache_info().currsize <= bound
+        assert cache(alpha)[0].shape == (3, 91)
     for alpha in alphas[-3:]:
-        J = kernel._moments[alpha]
+        J = cache(alpha)[0]
+        assert not J.flags.writeable
         assert np.array_equal(J[:, 1:], _moments_gauss(alpha, np.arange(1, 91)))
+    # least recently used dropped first: the newest bound alphas are hits, the one before a miss
+    info = cache.cache_info()
+    for alpha in alphas[-bound:]:
+        assert cache(alpha)[0].shape == (3, 91)
+    assert cache.cache_info().hits == info.hits + bound
+    assert cache(alphas[-bound - 1])[0].shape == (3, 1)
+    assert cache.cache_info().misses == info.misses + 1
 
 
 def test_kernel_table_is_prefix_of_longer_table():

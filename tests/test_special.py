@@ -345,3 +345,21 @@ def test_mittag_leffler_stops_at_the_term_cap(z):
     # stopping ratio within the 400 terms
     with pytest.raises(MittagLefflerError, match="no convergence within 400 terms"):
         mittag_leffler(0.1, 1.0, z)
+
+
+# ---------------------------------------------------------------------------
+# array points that reach the log form
+
+@pytest.mark.parametrize("alpha, z", [
+    (0.5, np.array([-1.0, 0.5, 8.4, 0.0, 9.0])),   # 8.4 turns to the log form at k = 303
+    (0.4, np.array([5.6, -0.25, 5.4])),
+    (0.5, np.array([8.4 + 0j, 0.3j, -1.0])),         # complex rows
+], ids=["real", "alpha_0.4", "complex"])
+def test_mittag_leffler_array_log_form_points_match_scalar_loop(alpha, z):
+    got = mittag_leffler(alpha, 1.0, z)
+    assert np.array_equal(got, _scalar_loop(alpha, 1.0, z))   # bit for bit
+
+
+def test_mittag_leffler_array_log_form_overflow_raises():
+    with pytest.raises(MittagLefflerError, match="series term overflow at k=343"):
+        mittag_leffler(0.1, 1.0, np.array([0.5, 10.0]))

@@ -130,7 +130,7 @@ def test_weight_table_is_prefix_of_longer_table(scheme):
 
 
 def _clear_caches():
-    kernel._moments.clear()
+    kernel._moment_batch.cache_clear()
     weights._build.cache_clear()
 
 
@@ -161,7 +161,7 @@ def test_concurrent_builds_match_serial():
     for (s, n), t, ref in zip(jobs, tables, serial):
         assert np.array_equal(t.omega, ref.omega), (s.label, n)
         assert np.array_equal(t.starting, ref.starting), (s.label, n)
-    J = kernel._moments[alpha]   # the published moments are whole and untouched
+    J = kernel._moment_batch(alpha)[0]   # the published moments are whole and untouched
     assert not J.flags.writeable
     assert J.shape[1] >= 6001
     assert np.array_equal(J[:, 1:], kernel._moments_gauss(alpha, np.arange(1, J.shape[1])))
