@@ -19,7 +19,7 @@ from .harness import (
     run_convergence,
     run_truncation_study,
 )
-from .kernel import KernelTable, backward_diff, kernel_table
+from .kernel import backward_diff, kernel_table
 from .operator import GridSpec, Trajectory, apply_discrete_caputo
 from .oracle import (
     PiecewiseInterpolant,
@@ -35,7 +35,7 @@ from .solver import (
     SolveReport,
     solve,
 )
-from .special import MittagLefflerError, binom_series, gamma_real, mittag_leffler
+from .special import MittagLefflerError, binom_series, mittag_leffler
 from .stability import (
     LocusCurve,
     RegionVerdict,
@@ -56,9 +56,9 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # special functions
-    "MittagLefflerError", "mittag_leffler", "gamma_real", "binom_series",
+    "MittagLefflerError", "mittag_leffler", "binom_series",
     # kernel integrals
-    "KernelTable", "kernel_table", "backward_diff",
+    "kernel_table", "backward_diff",
     # weights
     "SchemeId", "ALL_SCHEMES", "WeightTable", "WeightConsistencyError",
     "weight_table", "piece_layout",

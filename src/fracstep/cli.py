@@ -83,9 +83,7 @@ def _cmd_weights(args) -> int:
     if args.dump_kernel:
         if args.q is None or args.r is None:
             raise ValueError("--dump-kernel needs both --q and --r")
-        table = kernel_table(args.alpha, args.q, args.r, args.n_max)
-
-        rows = [(n, table.value(n)) for n in range(args.n_max + 1)]
+        rows = enumerate(kernel_table(args.alpha, args.q, args.r, args.n_max))
         _emit(args.output, lambda fh: write_csv(fh, ["n", "value"], rows))
         return 0
     if args.q is not None or args.r is not None:
@@ -96,7 +94,7 @@ def _cmd_weights(args) -> int:
         write_csv(fh, ["n", "omega"], ((n, table.omega[n]) for n in range(args.n_max + 1)))
         fh.write("\n")
         write_csv(fh, ["n", "j", "w"], ((n, j, w) for n in range(scheme.k, args.n_max + 1)
-                                        for j, w in enumerate(table.starting_row(n))))
+                                        for j, w in enumerate(table.starting[n])))
 
     _emit(args.output, render)
     return 0

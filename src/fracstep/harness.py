@@ -171,14 +171,15 @@ def run_convergence(
     """Endpoint errors and dyadic rates over the (scheme, alpha, M) lattice.
 
     Rows keep the caller's order of schemes and alphas; M runs ascending.
-    A repeated alpha or M raises ConfigError: it would repeat rows, and a
-    repeated M would report log2(err/err) = 0 as a measured rate.  Every
+    A repeated scheme, alpha or M raises ConfigError: it would repeat rows,
+    and a repeated M would report log2(err/err) = 0 as a measured rate.  Every
     solve asks for a declared forcing on t_1..t_M, so it is evaluated once
     per (alpha, M), inside that grid's first solve.
     """
     _reject_repeats(alphas, "alpha")
     _reject_repeats(M_list, "M_list")
     schemes = [_as_scheme(s) for s in schemes]
+    _reject_repeats(schemes, "schemes")
     grids = sorted((GridSpec(T=T, M=M) for M in M_list), key=lambda g: g.M)
     problems = {float(a): problem_for(float(a)) for a in alphas}
     if any(p.exact is None for p in problems.values()):
@@ -215,13 +216,12 @@ class TruncationSample:
     tail_max: float     # max over n in [M/2, M]
 
 
-def run_truncation_study(scheme, alpha: float, degree: int, M_list: Sequence[int],
-                         T: float = 1.0) -> list:
-    """tau_n = D(t^degree)_n - analytic Caputo value, tracked over M."""
+def run_truncation_study(scheme, alpha: float, degree: int, M_list: Sequence[int]) -> list:
+    """tau_n = D(t^degree)_n - analytic Caputo value on [0, 1] (T = 1), tracked over M."""
     s = _as_scheme(scheme)
     try:
         degree = require_count(degree, "degree", 0, 6)
-        grids = sorted((GridSpec(T=T, M=M) for M in M_list), key=lambda g: g.M)
+        grids = sorted((GridSpec(T=1.0, M=M) for M in M_list), key=lambda g: g.M)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if grids and grids[0].M < s.k:
@@ -441,6 +441,7 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError(str(exc)) from None
     M_list = tuple(sorted(g.M for g in grids))
     _reject_repeats(alphas, "alpha")
+    _reject_repeats(schemes, "schemes")
     _reject_repeats(M_list, "grid.M_list")
 
     return RunConfig(problem_for=factory, alphas=alphas, schemes=schemes,

@@ -19,19 +19,13 @@ in (0, 1) (require_alpha).
 """
 
 import math
-from dataclasses import dataclass
 from functools import cache, lru_cache
 
 import numpy as np
 
 from .special import require_alpha, require_count
 
-__all__ = [
-    "dbinom_poly",
-    "kernel_table",
-    "backward_diff",
-    "KernelTable",
-]
+__all__ = ["dbinom_poly", "kernel_table", "backward_diff"]
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
 _GL_S = 0.5 * (_GL_X + 1.0)   # nodes on [0, 1]
@@ -127,29 +121,8 @@ def _power_moments(alpha, n_max):
     return J[:, :n_max + 1]
 
 
-@dataclass(frozen=True)
-class KernelTable:
-    """I_{n,q}^r for n = 0..n_max at fixed (alpha, q, r)."""
-
-    alpha: float
-    q: int
-    r: int
-    values: np.ndarray
-
-    @property
-    def n_max(self) -> int:
-        return self.values.size - 1
-
-    def value(self, n: int) -> float:
-        """I_{n,q}^r for integer n <= n_max; 0.0 for n < 0."""
-        n = require_count(n, "n", None, self.n_max)
-        if n < 0:
-            return 0.0
-        return float(self.values[n])
-
-
-def kernel_table(alpha: float, q: int, r: int, n_max: int) -> KernelTable:
-    """I_{n,q}^r for n = 0..n_max, with 1 <= q, r <= 3 and n_max >= 0."""
+def kernel_table(alpha: float, q: int, r: int, n_max: int) -> np.ndarray:
+    """I_{n,q}^r for n = 0..n_max as a read-only array, with 1 <= q, r <= 3 and n_max >= 0."""
     alpha = require_alpha(alpha)
     c = dbinom_poly(q, r)
     J = _power_moments(alpha, require_count(n_max, "n_max"))
@@ -159,7 +132,7 @@ def kernel_table(alpha: float, q: int, r: int, n_max: int) -> KernelTable:
             vals += cm * J[m]
     vals /= math.gamma(1.0 - alpha)
     vals.flags.writeable = False
-    return KernelTable(alpha=alpha, q=int(q), r=int(r), values=vals)
+    return vals
 
 
 def backward_diff(seq, order: int) -> np.ndarray:

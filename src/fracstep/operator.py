@@ -56,11 +56,6 @@ class Trajectory:
             v.flags.writeable = False
             object.__setattr__(self, "values", v)
 
-    @classmethod
-    def from_function(cls, grid: GridSpec, fn) -> "Trajectory":
-        vals = np.array([complex(fn(t)) for t in grid.times()])
-        return cls(grid=grid, values=vals)
-
 
 def compensated_cdot(w, u) -> complex:
     """Exactly rounded complex dot sum_j w_j u_j (fsum over the product array).

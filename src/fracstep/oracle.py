@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .operator import GridSpec
-from .special import gamma_real, require_alpha, require_count, require_real
+from .special import require_alpha, require_count, require_real
 from .weights import _as_scheme, piece_layout
 
 __all__ = [
@@ -34,15 +34,15 @@ _GL_WS = 0.5 * _GL_W
 
 
 def caputo_monomial(m: int, alpha: float, t: float) -> float:
-    """Caputo derivative of t^m: Gamma(m+1)/Gamma(m+1-alpha) * t^(m-alpha)."""
-    m, alpha, t = require_count(m, "m"), require_alpha(alpha), require_real(t, "time t")
+    """Caputo derivative of t^m, 0 <= m <= 49: Gamma(m+1)/Gamma(m+1-alpha) * t^(m-alpha)."""
+    m, alpha, t = require_count(m, "m", 0, 49), require_alpha(alpha), require_real(t, "time t")
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t!r}")
     if m == 0:
         return 0.0
     if t == 0.0:
         return 0.0 if m - alpha > 0 else math.inf
-    return gamma_real(m + 1.0) / gamma_real(m + 1.0 - alpha) * t ** (m - alpha)
+    return math.gamma(m + 1.0) / math.gamma(m + 1.0 - alpha) * t ** (m - alpha)
 
 
 def _piece_nodes(j: int, q: int, deg: int) -> range:
@@ -166,4 +166,4 @@ def oracle_discrete_caputo(interp: PiecewiseInterpolant, alpha: float) -> comple
         parts_re.extend(vals.real.tolist())
         parts_im.extend(vals.imag.tolist())
     acc = complex(math.fsum(parts_re), math.fsum(parts_im))
-    return acc * interp.grid.dt ** (-alpha) / gamma_real(1.0 - alpha)
+    return acc * interp.grid.dt ** (-alpha) / math.gamma(1.0 - alpha)

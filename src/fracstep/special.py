@@ -1,4 +1,4 @@
-"""Special functions used throughout: real gamma, Mittag-Leffler, binomial series.
+"""Special functions used throughout: Mittag-Leffler, binomial series.
 
 Also the input rules the other modules share, each written once here (a
 bool is never a number to any of them): require_count for the integer indices
@@ -12,9 +12,8 @@ import math
 
 import numpy as np
 
-__all__ = ["MittagLefflerError", "gamma_real", "mittag_leffler", "binom_series"]
+__all__ = ["MittagLefflerError", "mittag_leffler", "binom_series"]
 
-_GAMMA_X_MAX = 50.0
 _MLF_MAX_TERMS = 400
 _MLF_ABS_Z_MAX = 10.0
 _MLF_STOP_RATIO = 1e-17
@@ -25,14 +24,6 @@ _MLF_LOG_FORM_POWER = 1e280   # past this |z^k| the scalar loop forms terms from
 
 class MittagLefflerError(ArithmeticError):
     """Mittag-Leffler series did not converge, or lost accuracy to cancellation."""
-
-
-def gamma_real(x: float) -> float:
-    """Gamma function restricted to 0 < x <= 50 (the range scheme weights need)."""
-    x = require_real(x, "gamma_real argument")
-    if not 0.0 < x <= _GAMMA_X_MAX:
-        raise ValueError(f"gamma_real domain is (0, {_GAMMA_X_MAX}], got {x}")
-    return math.gamma(x)
 
 
 def require_finite_complex(z, name: str = "z") -> complex:

@@ -39,9 +39,6 @@ _MAX_SAMPLES = 1 << 20
 
 @dataclass(frozen=True)
 class LocusCurve:
-    scheme: SchemeId
-    alpha: float
-    terms: int
     thetas: np.ndarray
     points: np.ndarray
 
@@ -57,17 +54,9 @@ class RegionVerdict:
     winding: Optional[int]
     samples: int
 
-    @property
-    def stable(self) -> Optional[bool]:
-        if self.verdict == "boundary":
-            return None
-        return self.verdict == "inside"
-
 
 @dataclass(frozen=True)
 class SeriesDiagnostics:
-    scheme: SchemeId
-    alpha: float
     phi: np.ndarray
     psi: np.ndarray
 
@@ -82,7 +71,7 @@ def boundary_locus(scheme, alpha: float, terms: int = _DEFAULT_TERMS, samples: i
     points = np.append(open_points, open_points[0])
     thetas.flags.writeable = False
     points.flags.writeable = False
-    return LocusCurve(scheme=s, alpha=alpha, terms=terms, thetas=thetas, points=points)
+    return LocusCurve(thetas=thetas, points=points)
 
 
 @lru_cache(maxsize=8)
@@ -103,8 +92,8 @@ def _locus_samples(k: int, i: int, alpha: float, terms: int, samples: int):
     return pts, perimeter
 
 
-def _check_terms_samples(terms, samples):
-    return require_count(terms, "terms", 1), require_count(samples, "samples", 16)
+def _check_terms_samples(terms, samples, max_samples=None):
+    return require_count(terms, "terms", 1), require_count(samples, "samples", 16, max_samples)
 
 
 def _winding_number(rel: np.ndarray) -> Optional[int]:
@@ -130,10 +119,12 @@ def in_stability_region(
     resolutions with the margin at least 10 sampling lengths; queries that
     stay closer than that to the sampled curve come back "boundary".
     z = 0 is the image of xi = 1 exactly and short-circuits to "outside".
+    The doubling stops at 2^20 samples, so samples may be at most 2^19: a
+    start needs one doubling to confirm its verdict.
     """
     s = _as_scheme(scheme)
     alpha = require_alpha(alpha)
-    terms, samples = _check_terms_samples(terms, samples)
+    terms, samples = _check_terms_samples(terms, samples, _MAX_SAMPLES // 2)
     z = require_finite_complex(z)
     if z == 0:
         return RegionVerdict(verdict="outside", margin=0.0, winding=None, samples=0)
@@ -162,14 +153,13 @@ def in_stability_region(
 
 def series_diagnostics(scheme, alpha: float, n_max: int) -> SeriesDiagnostics:
     """phi = cumulative sums of omega; psi = (1-xi)^(1-alpha) * phi coefficients."""
-    s = _as_scheme(scheme)
-    omega = weight_table(s, alpha, n_max).omega
+    omega = weight_table(scheme, alpha, n_max).omega
     phi = np.cumsum(omega)
     g = binom_series(1.0 - alpha, n_max)
     psi = np.convolve(g, phi)[: n_max + 1]
     phi.flags.writeable = False
     psi.flags.writeable = False
-    return SeriesDiagnostics(scheme=s, alpha=float(alpha), phi=phi, psi=psi)
+    return SeriesDiagnostics(phi=phi, psi=psi)
 
 
 def phi_at(diag: SeriesDiagnostics, xi) -> complex:

@@ -83,10 +83,6 @@ class WeightTable:
     def n_max(self) -> int:
         return self.omega.size - 1
 
-    def starting_row(self, n: int) -> tuple:
-        n = require_count(n, "n", self.scheme.k, self.n_max)
-        return tuple(float(v) for v in self.starting[n])
-
 
 def piece_layout(k: int, i: int, n: int):
     """Piece (q, degree) on each subinterval I_1..I_n of the step-n interpolant.
@@ -138,7 +134,7 @@ def _assemble(k: int, i: int, alpha: float, n_max: int):
         # keyed by the kernel polynomial, so equal tables (every I^1_q) cancel exactly
         c = tuple(dbinom_poly(q, r))
         if c not in tables:
-            tables[c] = kernel_table(alpha, q, r, n_max + q_in - 1).values   # the largest index read
+            tables[c] = kernel_table(alpha, q, r, n_max + q_in - 1)   # the largest index read
         return c
 
     # tail terms reach lags d <= k; without a tail the Toeplitz row already is the pieces' sum

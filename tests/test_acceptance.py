@@ -397,7 +397,7 @@ def test_criterion_8_complete_monotonicity(report):
         # i.e. min(q, r) in both branches
         base = min(q, r)
         for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
-            vals = kernel_table(alpha, q, r, 64).values
+            vals = kernel_table(alpha, q, r, 64)
             for k in range(4):
                 d = backward_diff(vals, k) if k else np.asarray(vals)
                 signed = (-1.0) ** (k + base + 1) * d[k:]

@@ -128,15 +128,17 @@ def test_run_convergence_blowup_rows():
     assert all(r.abs_err > 1e30 for r in rows)
 
 
-@pytest.mark.parametrize("alphas, M_list, repeated", [
-    ([0.5, 0.5], [8, 16], "alpha"),
-    ([0.5], [8, 8], "M_list"),
-    ([0.5, 0.5], [8, 8], "alpha"),
-], ids=["alpha", "M", "both"])
-def test_run_convergence_rejects_repeats(alphas, M_list, repeated):
-    # a repeated M would read log2(err/err) = 0 as a measured rate
+@pytest.mark.parametrize("schemes, alphas, M_list, repeated", [
+    ([(1, 1)], [0.5, 0.5], [8, 16], "alpha"),
+    ([(1, 1)], [0.5], [8, 8], "M_list"),
+    ([(1, 1)], [0.5, 0.5], [8, 8], "alpha"),
+    ([[1, 1], SchemeId(1, 1)], [0.5], [8, 16], "schemes"),
+], ids=["alpha", "M", "both", "scheme"])
+def test_run_convergence_rejects_repeats(schemes, alphas, M_list, repeated):
+    # a repeated M would read log2(err/err) = 0 as a measured rate; a label and
+    # a SchemeId of the same scheme repeat it
     with pytest.raises(ConfigError, match=f"{repeated} repeats"):
-        run_convergence(mlf_decay, [(1, 1)], alphas, M_list)
+        run_convergence(mlf_decay, schemes, alphas, M_list)
 
 
 def _counting_mlf(monkeypatch):
@@ -398,6 +400,7 @@ def test_parse_config_expression_problem():
     lambda raw: raw.update(problem={"rhs": {"expr": "1 2"}, "u0": 1}),
     lambda raw: raw.update(problem={"rhs": {"expr": "-u"}, "exact": {"expr": "exp(("}}),
     lambda raw: raw.update(problem={"rhs": {"expr": "-u"}, "exact": {"expr": "exp(1/t)"}}),
+    lambda raw: raw.update(schemes=[[1, 1], [2, 2], [1, 1]]),
 ])
 def test_parse_config_rejects(mangle):
     raw = _good_config()

@@ -53,12 +53,6 @@ def test_trajectory_validation():
     assert not np.isfinite(tr2.values[2].real)
 
 
-def test_trajectory_from_function():
-    g = GridSpec(T=1.0, M=5)
-    tr = Trajectory.from_function(g, lambda t: t * t)
-    assert tr.values[3] == pytest.approx((0.6) ** 2)
-
-
 def test_constants_are_annihilated():
     g = GridSpec(T=1.0, M=12)
     tr = Trajectory(grid=g, values=np.full(13, 2.7 - 1.3j))
@@ -160,3 +154,6 @@ def test_caputo_monomial_values():
     for t in (math.nan, math.inf, -1.0, "1"):
         with pytest.raises(ValueError):
             caputo_monomial(1, 0.5, t)
+    assert caputo_monomial(49, 0.5, 1.0) == math.gamma(50.0) / math.gamma(49.5)
+    with pytest.raises(ValueError, match="m <= 49"):
+        caputo_monomial(50, 0.5, 1.0)

@@ -1,4 +1,4 @@
-"""Tests for the scalar special functions: gamma, Mittag-Leffler, binomial series."""
+"""Tests for the scalar special functions: Mittag-Leffler, binomial series."""
 
 import functools
 import math
@@ -13,7 +13,6 @@ from fracstep import (
     ProblemSpec,
     binom_series,
     caputo_monomial,
-    gamma_real,
     linear_complex,
     mittag_leffler,
     mlf_decay,
@@ -31,17 +30,6 @@ MLF_REFERENCE = [
     (2.0, 1.0, -4.0, -0.41614683654714239 + 0.0j),
     (0.1, 1.0, -0.5, 0.65432446028800193 + 0.0j),
 ]
-
-
-def test_gamma_real_matches_math_gamma():
-    for x in (0.1, 0.5, 1.0, 1.5, 3.7, 12.0, 50.0):
-        assert gamma_real(x) == math.gamma(x)
-
-
-@pytest.mark.parametrize("x", [0.0, -1.0, 50.0001, math.nan, math.inf, True])
-def test_gamma_real_rejects_out_of_domain(x):
-    with pytest.raises(ValueError):
-        gamma_real(x)
 
 
 def test_mittag_leffler_reference_values():

@@ -69,7 +69,6 @@ def test_membership_spot_verdicts(scheme, alpha, z, expected):
     v = in_stability_region(scheme, alpha, z)
     assert v.verdict == expected
     assert v.margin > 0.0
-    assert v.stable is (expected == "inside")
     assert v.winding == (0 if expected == "inside" else 1)
 
 
@@ -92,7 +91,6 @@ def test_origin_short_circuits():
     assert v.margin == 0.0
     assert v.winding is None
     assert v.samples == 0
-    assert v.stable is False
 
 
 def test_point_on_sampled_curve_is_boundary():
@@ -100,7 +98,6 @@ def test_point_on_sampled_curve_is_boundary():
     v = in_stability_region((1, 1), 0.5, complex(curve.points[37]))
     assert v.verdict == "boundary"
     assert v.margin < 1e-12
-    assert v.stable is None
 
 
 def test_psi_partial_sums_approach_one():
@@ -144,3 +141,12 @@ def test_argument_validation():
         in_stability_region((1, 1), 0.5, float("nan"))
     with pytest.raises(ValueError):
         series_diagnostics((1, 1), 0.5, -1)
+
+
+def test_membership_start_leaves_room_to_confirm():
+    # the doubling stops at 2^20 samples, so a start there could never confirm a verdict
+    with pytest.raises(ValueError, match="samples <= 524288"):
+        in_stability_region((1, 1), 0.5, -1.0, samples=2 ** 20)
+    v = in_stability_region((1, 1), 0.5, -1.0, samples=2 ** 19)
+    assert v.verdict == "inside"
+    assert v.samples == 2 ** 20

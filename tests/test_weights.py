@@ -48,7 +48,7 @@ def test_degree_one_closed_form():
             assert omega[n] == pytest.approx(ref, rel=1e-11, abs=1e-15), (alpha, n)
         # starting weight w_{m,0} = -I_m closes the rows
         for m in (1, 2, 17, 64):
-            w = weight_table(SchemeId(1, 1), alpha, m).starting_row(m)
+            w = weight_table(SchemeId(1, 1), alpha, m).starting[m]
             ref = -((m + 1.0) ** (1 - alpha) - m ** (1 - alpha)) / g
             assert w[0] == pytest.approx(ref, rel=1e-12)
 
@@ -165,21 +165,6 @@ def test_concurrent_builds_match_serial():
     assert not J.flags.writeable
     assert J.shape[1] >= 6001
     assert np.array_equal(J[:, 1:], kernel._moments_gauss(alpha, np.arange(1, J.shape[1])))
-
-
-def test_starting_row_accessor_bounds():
-    tab = weight_table(SchemeId(3, 1), 0.4, 16)
-    assert len(tab.starting_row(3)) == 3
-    with pytest.raises(ValueError):
-        tab.starting_row(2)
-    with pytest.raises(ValueError):
-        tab.starting_row(17)
-    with pytest.raises(ValueError):
-        weight_table(SchemeId(2, 1), 0.4, 1).starting_row(1)
-    with pytest.raises(ValueError):
-        tab.starting_row(3.5)
-    with pytest.raises(ValueError):
-        weight_table(SchemeId(1, 1), 0.4, 4).starting_row(True)
 
 
 def test_degenerate_table_lengths():
