@@ -4,7 +4,8 @@ For the test equation D^alpha u = lam * u the update is controlled by
 z = lam * dt^alpha and the generating function omega(xi) = sum_n omega_n xi^n.
 The stability region is the complement of the image of the closed unit disk,
 which by the argument principle can be probed with a winding number around the
-truncated boundary locus zeta(theta) = sum_{n<=N} omega_n e^(i n theta).
+truncated boundary locus zeta(theta) = sum_{n<=N} omega_n e^(i n theta): one real
+FFT samples the locus, and signed crossings of a ray from z count the winding.
 
 series_diagnostics exposes the factor sequences phi (partial sums of omega,
 i.e. omega(xi) = (1-xi) phi(xi)) and psi (coefficients of
@@ -79,14 +80,16 @@ def _locus_samples(k: int, i: int, alpha: float, terms: int, samples: int):
     """Open sampling (m = 0..samples-1) of the truncated locus on the uniform full circle,
     with the perimeter of the closed polygon through the samples.
 
-    The sum zeta(theta_m) = sum_n omega_n e^(2 pi i n m / S) only sees n mod S,
-    so folding the coefficients modulo S and applying an inverse FFT gives
-    every sample at FFT cost.  This is the only evaluation of the locus series.
+    The sum zeta(theta_m) = sum_n omega_n e^(2 pi i n m / S) only sees n mod S:
+    one real FFT of the coefficients folded modulo S, reversed mod S, gives
+    m <= S/2, and zeta(-theta) = conj(zeta(theta)) the rest.  This is the only
+    evaluation of the locus series.
     """
     omega = weight_table(SchemeId(k, i), alpha, terms).omega
     pad = (-omega.size) % samples
     folded = np.concatenate([omega, np.zeros(pad)]).reshape(-1, samples).sum(axis=0)
-    pts = np.fft.ifft(folded) * samples
+    half = np.fft.rfft(np.roll(folded[::-1], 1))
+    pts = np.concatenate([half, np.conj(half[samples - half.size:0:-1])])
     pts.flags.writeable = False
     perimeter = float(np.abs(np.diff(pts)).sum()) + abs(pts[0] - pts[-1])
     return pts, perimeter
@@ -96,14 +99,16 @@ def _check_terms_samples(terms, samples, max_samples=None):
     return require_count(terms, "terms", 1), require_count(samples, "samples", 16, max_samples)
 
 
-def _winding_number(rel: np.ndarray) -> Optional[int]:
-    """Turns of the closed polygon rel (points - z) around 0; None if not near an integer."""
-    turn = np.angle(rel * np.conj(np.roll(rel, 1)))
-    total = float(turn.sum()) / (2.0 * math.pi)
-    w = round(total)
-    if abs(total - w) > 0.25:
-        return None
-    return int(w)
+def _winding_number(rel: np.ndarray) -> int:
+    """Turns of the closed polygon rel (points - z) around 0, as signed crossings of
+    the ray 0 -> +Re (Hormann and Agathos 2001): +1 up, -1 down, on each edge along
+    which rel.imag > 0 changes and that meets the real axis at x > 0.  Products stay
+    within the size of rel, so no finite z overflows."""
+    up = rel.imag > 0
+    j = np.flatnonzero(up != np.roll(up, -1))
+    a, b = rel[j], rel[(j + 1) % rel.size]
+    x = a.real - a.imag / (b.imag - a.imag) * (b.real - a.real)
+    return int(np.where(up[j], -1, 1)[x > 0].sum())
 
 
 def in_stability_region(
@@ -141,8 +146,8 @@ def in_stability_region(
             return RegionVerdict(verdict="boundary", margin=margin, winding=None, samples=S)
         resolution = perimeter / S
         w = _winding_number(rel)
-        confident = w is not None and margin >= _RESOLUTION_FACTOR * resolution
-        if confident and prev is not None and w == prev:
+        confident = margin >= _RESOLUTION_FACTOR * resolution
+        if confident and w == prev:
             verdict = "inside" if w == 0 else "outside"
             return RegionVerdict(verdict=verdict, margin=margin, winding=w, samples=S)
         prev = w if confident else None

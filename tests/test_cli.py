@@ -79,6 +79,14 @@ def test_member_inside_point(capsys):
     assert float(margin) > 0.5
 
 
+def test_member_far_point(capsys):
+    # far past 1e154, where a product of two points taken relative to z overflows
+    rc, out, err = run_cli(capsys, "member", "--k", "1", "--i", "1",
+                           "--alpha", "0.5", "--z", "1e200+1e200i")
+    assert rc == 0
+    assert out.strip() == "inside,1.414213562373095e+200"
+
+
 def test_member_boundary_exit_code(capsys):
     z = complex(boundary_locus((1, 1), 0.5, samples=2048).points[37])
     rc, out, err = run_cli(capsys, "member", "--k", "1", "--i", "1",

@@ -1,12 +1,19 @@
 """Tests for the boundary locus, membership queries, and series diagnostics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from fracstep import ALL_SCHEMES, SchemeId, boundary_locus, in_stability_region, weight_table
-from fracstep.stability import _DEFAULT_TERMS, _locus_samples, phi_at, series_diagnostics
+from fracstep.stability import (
+    _DEFAULT_TERMS,
+    _locus_samples,
+    _winding_number,
+    phi_at,
+    series_diagnostics,
+)
 
 # zeta(pi) = sum_n (-1)^n omega_n for the truncated locus with 6000 terms.
 HALF_TURN_REFERENCE = [
@@ -43,15 +50,71 @@ def test_locus_half_turn_values(k, i, alpha, expected):
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
 def test_locus_matches_compensated_direct_sum(scheme, alpha):
     # zeta(2 pi m / S) = sum_n omega_n e^(2 pi i (n m mod S) / S), each point
-    # summed term by term with math.fsum.
-    terms, S = 2000, 64
-    curve = boundary_locus(scheme, alpha, terms=terms, samples=S)
+    # summed term by term with math.fsum.  An odd S has no sample at theta = pi
+    # and mirrors a half spectrum of the other length.
+    terms = 2000
     omega = weight_table(scheme, alpha, terms).omega
     n = np.arange(terms + 1)
-    for m in range(S):
-        parts = omega * np.exp(2j * np.pi * (n * m % S) / S)
-        zeta = complex(math.fsum(parts.real.tolist()), math.fsum(parts.imag.tolist()))
-        assert abs(curve.points[m] - zeta) <= 1e-13 * max(1.0, abs(zeta)), m
+    for S in (64, 63):
+        curve = boundary_locus(scheme, alpha, terms=terms, samples=S)
+        for m in range(S):
+            parts = omega * np.exp(2j * np.pi * (n * m % S) / S)
+            zeta = complex(math.fsum(parts.real.tolist()), math.fsum(parts.imag.tolist()))
+            assert abs(curve.points[m] - zeta) <= 1e-13 * max(1.0, abs(zeta)), (S, m)
+
+
+@pytest.mark.parametrize("S", [64, 63, 4096])
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_locus_halves_are_conjugate(scheme, S):
+    # the folded weights are real, so zeta(2 pi - theta) = conj(zeta(theta)) to the bit,
+    # and zeta at theta = 0 and pi is real with an imaginary part of +0.0
+    pts, _ = _locus_samples(scheme.k, scheme.i, 0.5, 2000, S)
+    m = np.arange(1, (S + 1) // 2)
+    assert pts[S - m].tobytes() == np.conj(pts[m]).tobytes()
+    assert math.copysign(1.0, pts[0].imag) == 1.0
+    if S % 2 == 0:
+        assert math.copysign(1.0, pts[S // 2].imag) == 1.0
+
+
+def angle_sum_winding(rel):
+    """Turns of the closed polygon rel around 0 as the sum of its turning angles."""
+    total = float(np.angle(np.roll(rel, -1) / rel).sum()) / (2.0 * math.pi)
+    assert abs(total - round(total)) < 1e-9
+    return round(total)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_crossing_count_matches_angle_sum(scheme, alpha):
+    S = 4096
+    pts, _ = _locus_samples(scheme.k, scheme.i, alpha, _DEFAULT_TERMS, S)
+    rng = np.random.default_rng(1000 * scheme.k + 100 * scheme.i + round(10 * alpha))
+    zs = 10.0 ** rng.uniform(-2.0, 2.0, 100) * np.exp(2j * np.pi * rng.uniform(size=100))
+    # the ray from a real z runs through the real samples at theta = 0 and pi,
+    # and the ray from a z level with a sample runs through that sample
+    real_zs = [pts[m].real + d for m in (0, S // 2) for d in (-1.0, -1e-3, 1e-3)]
+    level_zs = [pts[m] + d for m in (1, 700, S // 4, 3 * S // 4) for d in (-0.5, 0.5)]
+    windings = []
+    for z in [*zs, *real_zs, *level_zs]:
+        rel = pts - z
+        if np.abs(rel).min() < 1e-6:
+            continue
+        w = _winding_number(rel)
+        assert w == angle_sum_winding(rel), z
+        windings.append(w)
+    assert len(windings) >= 100
+    assert {0, 1} <= set(windings)
+
+
+@pytest.mark.parametrize("z", [-1e160, 1e200 + 1e200j])
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_far_point_is_inside_without_overflow(scheme, z):
+    # far past 1e154, where a product of two points taken relative to z overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = in_stability_region(scheme, 0.5, z)
+    assert (v.verdict, v.winding, v.samples) == ("inside", 0, 8192)
+    assert v.margin == pytest.approx(abs(z), rel=1e-12)
 
 
 MEMBERSHIP_CASES = [
