@@ -3,28 +3,34 @@
 Each step solves omega_0 u_n - dt^alpha f(t_n, u_n) + H_n = 0 with H_n the
 weighted history sum and f = rhs(t, u) + forcing(t).  The t-only forcing, when
 a problem declares one, is evaluated on t_1..t_M before the first step.
-A linear rhs (lam*u + rhs(t, 0)) uses the closed form; everything else runs an
-undamped Newton iteration on rhs, adding the forcing at t_n to each value,
-from a guess extrapolated from the last steps as in the predictor of Diethelm,
-Ford and Freed (Numer. Algorithms 36 (2004) 31-52).
+A linear rhs (lam*u + rhs(t, 0)) uses the closed form, a leaf of steps at a
+time; everything else runs an undamped Newton iteration on rhs, adding the
+forcing at t_n to each value, one step at a time, from a guess extrapolated
+from the last steps as in the predictor of Diethelm, Ford and Freed (Numer.
+Algorithms 36 (2004) 31-52).
 
 The history sum is blocked after Hairer, Lubich and Schlichte (SIAM J. Sci.
 Stat. Comput. 6 (1985) 532-541), one route for the linear and the Newton step.
-The grid splits into leaves of _LEAF steps.  A step sums its lags inside its
-own leaf in plain Python; everything older, and the starting terms (one
-product before the first step), it reads from an array filled a block at a
+The grid splits into leaves, of _LEAF steps under Newton and _LINEAR_LEAF for
+the closed form.  A step reads the samples before its leaf, and the starting
+terms (one product before the first step), from an array filled a block at a
 time.  When a leaf begins at step c, the samples u[c-s:c], s the lowest set
 bit of c, are added to the targets c..c+s-1: by a dense product with the
 Toeplitz rows of omega for at most _DENSE_ROWS targets, else by an FFT.  A
-solve costs O(M log^2 M) and one block per leaf.
+Newton step sums the lags inside its own leaf in plain Python.  The closed
+form solves a whole leaf at once: its steps satisfy a lower-triangular
+Toeplitz system, omega_0 - dt^alpha lam on the diagonal and omega_1,
+omega_2, ... under it, and one product with the inverse of that matrix, built
+once per solve, gives them all.  A solve costs O(M log^2 M) and one block per
+leaf.
 
-Rounding: the FFT kernels are zero at lags below _LEAF, where the weights are
-largest; those lags, from the last leaf into the next, go through a dense
-product, so the FFT error scales with omega at lag _LEAF and beyond.  The
-sum is ordinary rounded floating point: runs repeat bit for bit on one
+Rounding: the FFT kernels are zero at lags below the leaf, where the weights
+are largest; those lags, from the last leaf into the next, go through a dense
+product, so the FFT error scales with omega at the leaf's length and beyond.
+The sum is ordinary rounded floating point: runs repeat bit for bit on one
 machine, but another BLAS or FFT build may change the last bits.  Against the
-exactly rounded history sum, trajectories at M = 2048 agree to 2e-15
-relative, as the direct sum did.
+exactly rounded history sum, trajectories at M = 2048 agree to 1e-15
+relative; the direct sum agreed to 2e-15.
 """
 
 import math
@@ -36,7 +42,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .operator import GridSpec, Trajectory
+from .operator import GridSpec, Trajectory, compensated_cdot
 from .special import require_alpha, require_count, require_finite_complex, require_real
 from .weights import SchemeId, _as_scheme, weight_table
 
@@ -53,7 +59,8 @@ __all__ = [
 _BLOWUP_THRESHOLD = 1e30
 _PIVOT_REL_TOL = 1e-14
 _FD_STEP_SCALE = 1.5e-8   # finite-difference step relative to 1 + |u|
-_LEAF = 8          # lags below this are summed directly at each step; a power of two
+_LEAF = 8          # Newton: lags below this are summed directly at each step; a power of two
+_LINEAR_LEAF = 64  # the closed form: steps solved together by one Toeplitz product; a power of two
 _DENSE_ROWS = 256   # a block for at most this many targets is a dense product, else an FFT
 
 
@@ -168,20 +175,23 @@ def _pairs(z):
 
 
 class _LeafHistory:
-    """The history sum of each step over the samples before its leaf of _LEAF steps.
+    """The history sum of each step over the samples before its leaf of `leaf` steps.
 
     values[n] starts as the starting terms of step n.  When the leaf at step c
     begins, add_block(c) adds the samples u[c-s:c], s the lowest set bit of c,
     to the targets c..c+s-1 (Hairer, Lubich and Schlichte 1985).  A sample j
     and a target n in different leaves meet in exactly one block, the one of
-    the highest bit where j and n differ, at a lag s+i-j in 1..2s-1.
+    the highest bit where j and n differ, at a lag s+i-j in 1..2s-1.  leaf is
+    a power of two.
     """
 
-    def __init__(self, omega, u, starting_terms):
-        self.omega, self.u, self.values = omega, u, starting_terms
+    def __init__(self, omega, u, starting_terms, leaf):
+        self.omega, self.u, self.values, self.leaf = omega, u, starting_terms, leaf
         self._u_pairs, self._value_pairs = _pairs(u), _pairs(starting_terms)
         self._rows = {}      # s -> rows omega_{s+i-j} for block targets i, samples j
-        self._spectra = {}   # s -> FFT of omega at lags _LEAF..2s-1, zero below _LEAF
+        self._spectra = {}   # s -> FFT of omega at lags leaf..2s-1, zero below leaf
+        # the lags below leaf, which the FFT leaves out: from the last leaf into the next
+        self._carry = np.triu(self._block_rows(leaf, leaf), 1)
 
     def _kernel(self, s, low):
         """omega at lags 0..2s-1, zero below low and past the table."""
@@ -206,13 +216,111 @@ class _LeafHistory:
             return
         spectrum = self._spectra.get(s)
         if spectrum is None:
-            spectrum = self._spectra[s] = np.fft.fft(self._kernel(s, _LEAF))
+            spectrum = self._spectra[s] = np.fft.fft(self._kernel(s, self.leaf))
         block = np.fft.fft(self.u[c - s : c], 2 * s)
         # a circular convolution of length 2s: outputs s..2s-1 do not wrap
         self.values[c : c + w] += np.fft.ifft(block * spectrum)[s : s + w]
-        # The lags below _LEAF, left out of the FFT: from the last leaf into this one
-        carry = np.triu(self._block_rows(_LEAF, _LEAF), 1)
-        self._value_pairs[c : c + _LEAF] += carry @ self._u_pairs[c - _LEAF : c]
+        leaf = self.leaf
+        self._value_pairs[c : c + leaf] += self._carry @ self._u_pairs[c - leaf : c]
+
+
+def _lower_toeplitz_inverse(pivot, below):
+    """The inverse of the lower-triangular Toeplitz matrix with pivot on its diagonal
+    and below[0], below[1], ... on the diagonals under it.
+
+    The inverse is lower-triangular Toeplitz too.  Its first column t is the
+    reciprocal power series, t_0 = 1/pivot and t_n = -(below[0] t_{n-1} + ... +
+    below[n-1] t_0) / pivot, and its upper triangle is exactly zero.  Each sum
+    is exactly rounded: every leaf reuses t, so its rounding would not average
+    out over the solve.
+    """
+    size = below.size + 1
+    t = np.empty(size, dtype=complex)
+    t[0] = 1 / pivot
+    for n in range(1, size):
+        t[n] = -compensated_cdot(below[:n], t[n - 1 :: -1]) / pivot
+    column = np.concatenate((np.zeros(size - 1, dtype=complex), t))   # t_n at size-1+n
+    return np.ascontiguousarray(sliding_window_view(column, size)[:, ::-1])
+
+
+def _linear_leaves(rhs, g, h, ha, denom, past, n_start):
+    """The closed-form steps n_start..M, a leaf at a time; returns the end of the stepped values.
+
+    Each leaf solves T x = b for its steps, T lower-triangular Toeplitz with
+    omega_0 - ha*lam on the diagonal and omega_1, omega_2, ... under it, and
+    b_n = ha*(rhs(t_n, 0) + g_n) - H_n with H_n the history sum over the
+    samples before the leaf.  One inverse of T serves every leaf.  rhs is
+    evaluated node by node up to its first non-finite value; b is zeroed from
+    its first non-finite entry on, so that no 0 * inf of the upper triangle
+    reaches the steps before it, and that entry's own term is added to its row
+    after the product.  Every step after the first non-finite one is left to
+    the caller, which makes it NaN.
+    """
+    u, omega = past.u, past.omega
+    size = min(past.leaf, u.size)
+    inverse = _lower_toeplitz_inverse(denom, omega[1:size])
+    # the lags from the values before the first step, which share its leaf
+    for i in range(n_start):
+        past.values[n_start:size] += omega[n_start - i : size - i] * u[i]
+    with np.errstate(over="ignore", invalid="ignore"):   # a blowup is flagged, not warned of
+        for c in range(0, u.size, size):
+            if c:
+                past.add_block(c)
+            lo, hi = max(c, n_start), min(c + size, u.size)
+            f = []
+            for n in range(lo, hi):
+                v = rhs(n * h, 0j) + g[n]
+                f.append(v)
+                if not isfinite(v):
+                    break
+            m = lo + len(f)
+            b = np.zeros(size, dtype=complex)
+            b[lo - c : m - c] = ha * np.array(f, dtype=complex) - past.values[lo:m]
+            bad = np.flatnonzero(~np.isfinite(b))
+            if bad.size:
+                q = bad[0]
+                top, b[q:] = b[q], 0
+            x = inverse @ b
+            if bad.size:
+                x[q] += inverse[0, 0] * top
+            u[lo:m] = x[lo - c : m - c]
+            stop = np.flatnonzero(~np.isfinite(np.abs(u[lo:m])))
+            if stop.size:
+                return lo + int(stop[0]) + 1
+    return u.size
+
+
+def _newton_steps(problem, g, h, ha, omega0, cfg, past, n_start, iters):
+    """The Newton steps n_start..M, one at a time; returns the end of the stepped values.
+
+    A step sums its lags inside its leaf in plain Python and reads the rest
+    from past.  The loop stops after a step with a non-finite |u_n|.
+    """
+    u, omega = past.u, past.omega
+    before = past.values[:_LEAF].tolist()
+    near = [omega[j:0:-1].tolist() for j in range(_LEAF)]   # omega_j..omega_1
+    c, leaf = 0, u[:n_start].tolist()   # the leaf's first step and its samples so far
+    # u_{n-1}, u_{n-2}, u_{n-3} for the Newton start; the zeros are never read
+    u1, u2, u3 = ([0j, 0j] + leaf)[-1:-4:-1]
+    rhs, rhs_du = problem.rhs, problem.rhs_du
+    for n in range(n_start, u.size):
+        j = n - c
+        if j == _LEAF:   # n_start < _LEAF
+            u[c:n] = leaf
+            c, j, leaf = n, 0, []
+            past.add_block(n)
+            before = past.values[n : n + _LEAF].tolist()
+        H = before[j] + sum(map(mul, near[j], leaf))
+        # extrapolate the last three values (fewer on the first steps)
+        guess = 3.0 * (u1 - u2) + u3 if n > 2 else 2.0 * u1 - u2 if n == 2 else u1
+        un, iters[n] = _newton_step(rhs, rhs_du, n, n * h, guess, omega0, ha, H, cfg, g[n])
+        u1, u2, u3 = un, u1, u2
+        leaf.append(un)
+        if not math.isfinite(abs(un)):
+            break
+    end = c + len(leaf)
+    u[c:end] = leaf
+    return end
 
 
 def _check_starting(starting, k: int) -> None:
@@ -253,14 +361,17 @@ def solve(
 
     A declared forcing is evaluated on t_1..t_M in one call before the first
     step, whatever the scheme and starting mode, so an error in it surfaces
-    there, and it is evaluated on the nodes past a non-finite step too.  rhs
-    is evaluated at each step: once as rhs(t_n, 0) on the linear path; under
-    Newton at the start, the quadratic extrapolation 3 u_{n-1} - 3 u_{n-2} +
-    u_{n-3} (linear, then constant, on the first steps, which have fewer past
-    values), and at each iterate that the update-size test does not accept.
-    So rhs is never evaluated past a non-finite step.  A non-finite rhs value
-    makes a non-finite step on the linear path; under Newton a non-finite rhs
-    or rhs_du value raises ValueError naming the step.
+    there, and it is evaluated on the nodes past a non-finite step too.  On
+    the linear path rhs is evaluated once per step, as rhs(t_n, 0), a leaf
+    (_LINEAR_LEAF = 64 steps) at a time and in order, before the leaf is solved; it stops at
+    its first non-finite value, which makes that step non-finite.  A step that
+    overflows from finite values can therefore leave rhs already evaluated up
+    to the end of its leaf.  Under Newton rhs is evaluated at each step: at
+    the start, the quadratic extrapolation 3 u_{n-1} - 3 u_{n-2} + u_{n-3}
+    (linear, then constant, on the first steps, which have fewer past values),
+    and at each iterate that the update-size test does not accept, so never
+    past a non-finite step; a non-finite rhs or rhs_du value raises ValueError
+    naming the step.  Every step after a non-finite one is NaN.
     """
     scheme = _as_scheme(scheme)
     k, alpha = scheme.k, problem.alpha
@@ -309,43 +420,17 @@ def solve(
         g[1:] = gs.tolist()
 
     iters = np.zeros(grid.M + 1, dtype=int)
-    max_abs = max(abs(complex(v)) for v in u[:n_start])
-    blowup = max_abs > _BLOWUP_THRESHOLD
-    past = _LeafHistory(omega, u, (table.starting @ _pairs(u[:k])).view(complex).ravel())
-    before = past.values[:_LEAF].tolist()
-    near = [omega[j:0:-1].tolist() for j in range(_LEAF)]   # omega_j..omega_1
-    c, leaf = 0, u[:n_start].tolist()   # the leaf's first step and its samples so far
-    # u_{n-1}, u_{n-2}, u_{n-3} for the Newton start; the zeros are never read
-    u1, u2, u3 = ([0j, 0j] + leaf)[-1:-4:-1]
-    rhs, rhs_du = problem.rhs, problem.rhs_du
-    for n in range(n_start, grid.M + 1):
-        j = n - c
-        if j == _LEAF:   # n_start < _LEAF
-            u[c:n] = leaf
-            c, j, leaf = n, 0, []
-            past.add_block(n)
-            before = past.values[n : n + _LEAF].tolist()
-        H = before[j] + sum(map(mul, near[j], leaf))
-        t = n * h
-        if linear:
-            un = (ha * (rhs(t, 0j) + g[n]) - H) / denom
-        else:
-            # extrapolate the last three values (fewer on the first steps)
-            guess = 3.0 * (u1 - u2) + u3 if n > 2 else 2.0 * u1 - u2 if n == 2 else u1
-            un, iters[n] = _newton_step(rhs, rhs_du, n, t, guess, omega0, ha, H, cfg, g[n])
-            u1, u2, u3 = un, u1, u2
-        leaf.append(un)
-        a = abs(un)
-        if not math.isfinite(a):
-            blowup = True
-            break
-        if a > max_abs:
-            max_abs = a
-        if a > _BLOWUP_THRESHOLD:
-            blowup = True
-    end = c + len(leaf)
-    u[c:end] = leaf
+    starting_terms = (table.starting @ _pairs(u[:k])).view(complex).ravel()
+    past = _LeafHistory(omega, u, starting_terms, _LINEAR_LEAF if linear else _LEAF)
+    if linear:
+        end = _linear_leaves(problem.rhs, g, h, ha, denom, past, n_start)
+    else:
+        end = _newton_steps(problem, g, h, ha, omega0, cfg, past, n_start, iters)
     u[end:] = np.nan   # past a non-finite step
+    mags = np.abs(u)
+    finite = np.isfinite(mags)
+    max_abs = float(mags[finite].max())
+    blowup = not finite.all() or max_abs > _BLOWUP_THRESHOLD
 
     final_error = None
     if problem.exact is not None:

@@ -21,7 +21,7 @@ from fracstep import (
 )
 from fracstep.harness import fit_order
 from fracstep.operator import apply_discrete_caputo, compensated_cdot
-from fracstep.solver import _DENSE_ROWS, _LEAF, _newton_step, bootstrap_starts
+from fracstep.solver import _DENSE_ROWS, _LEAF, _LINEAR_LEAF, _newton_step, bootstrap_starts
 
 
 def test_quadratic_scheme_reference_cell():
@@ -348,9 +348,11 @@ def test_forcing_errors_surface_before_the_first_step():
 # Grids that end at the edges of the blocked history: around the first leaf of
 # _LEAF steps and the first far blocks, around a dense level of _DENSE_ROWS
 # targets, at the first FFT block (3 * _DENSE_ROWS clips the level-2D block to
-# D + 1 targets) and past a full FFT block.
-_B, _D = _LEAF, _DENSE_ROWS
-BLOCK_M = [_B - 1, _B, _B + 1, 2 * _B, 2 * _B + 1, _D - 1, _D, _D + 1, 3 * _D - 1, 3 * _D, 4 * _D + 1]
+# D + 1 targets) and past a full FFT block; then the same edges of the
+# closed-form step's leaves of _LINEAR_LEAF steps.
+_B, _D, _L = _LEAF, _DENSE_ROWS, _LINEAR_LEAF
+BLOCK_M = [_B - 1, _B, _B + 1, 2 * _B, 2 * _B + 1, _D - 1, _D, _D + 1, 3 * _D - 1, 3 * _D, 4 * _D + 1,
+           _L - 1, _L, _L + 1, 2 * _L - 1, 2 * _L, 2 * _L + 1, 4 * _L + 1]
 
 
 def _block_grids(k):
@@ -430,22 +432,47 @@ def test_newton_start_on_the_first_steps(starting, per_node):
 
 @pytest.mark.parametrize("problem, scheme, M, starting, u_M", [
     (linear_complex(0.5, -1.0 + 0.5j), (2, 1), 40, None,
-     ("0x1.78b4afab3a625p-2", "-0x1.6faf1e7579e9cp-21")),
-    (mlf_decay(0.3), (3, 3), 600, None, ("0x1.d3a35a5ba5293p-2", "0x0.0p+0")),
+     ("0x1.78b4afab3a626p-2", "-0x1.6faf1e7520000p-21")),
+    (mlf_decay(0.3), (3, 3), 600, None, ("0x1.d3a35a5ba5290p-2", "0x0.0p+0")),
     (linear_complex(0.5, -1.0), (1, 1), 20, "hold", ("0x1.7b97ebcf544ccp-2", "0x0.0p+0")),
     (linear_complex(0.7, 2j), (2, 2), 40, "bootstrap",
-     ("0x1.78ad7317a2dc3p-2", "-0x1.148ba0f2201ccp-18")),
+     ("0x1.78ad7317a2dbfp-2", "-0x1.148ba0f1be000p-18")),
 ], ids=["two_leaves", "fft_block", "hold", "bootstrap"])
 def test_linear_path_endpoint_bits(problem, scheme, M, starting, u_M):
     # The closed-form step reads nothing of the Newton path, so a change to
     # Newton must leave these endpoints bit for bit.  The bits are those of one
-    # NumPy and libm build (x86-64, NumPy 2.4); another may move the weights,
-    # and these, in the last bits.
+    # NumPy, BLAS and libm build (x86-64, NumPy 2.4, OpenBLAS 0.3.31): each
+    # leaf is one complex product with the inverse Toeplitz matrix, and another
+    # build may move the weights, or sum that product in another order, and so
+    # these last bits.  The exact solution is real: the small imaginary parts
+    # are the scheme's error, formed by cancellation in that product, so their
+    # trailing bits are zero.
     end = complex(solve(problem, scheme, GridSpec(T=1.0, M=M), starting=starting).trajectory.values[-1])
     assert (end.real.hex(), end.imag.hex()) == u_M
 
 
-@pytest.mark.parametrize("bad", [_B + 3, 2 * _B, _D], ids=["in_a_leaf", "at_a_leaf_start", "at_a_dense_level"])
+@pytest.mark.parametrize("problem, scheme, M, starting, u_M", [
+    (nonlinear_square(0.5, -1.0 + 0.5j), (2, 1), 40, None,
+     ("0x1.4a976b4c19c51p-2", "0x1.69374a46dabaep-3")),
+    (nonlinear_square(0.3, -1.0), (3, 3), 1025, None,
+     ("0x1.78b56362cf5f5p-2", "0x1.d0a21484f388cp-55")),
+    (nonlinear_square(0.5, -1.0), (1, 1), 20, "hold", ("0x1.7b6195437618ap-2", "0x0.0p+0")),
+    (nonlinear_square(0.7, 1j), (2, 2), 40, "bootstrap",
+     ("0x1.14a238cbcfa06p-1", "0x1.aed4244869400p-1")),
+], ids=["two_leaves", "fft_block", "hold", "bootstrap"])
+def test_newton_path_endpoint_bits(problem, scheme, M, starting, u_M):
+    # The Newton step keeps its leaves of _LEAF steps in the history that it
+    # shares with the closed-form step, so a change to the closed form must
+    # leave these endpoints bit for bit.  Same build caveat as the linear pin.
+    # M = 1025 reaches an FFT block (512 targets from step 512); the
+    # FFT's rounding gives the real problem its tiny imaginary part.
+    end = complex(solve(problem, scheme, GridSpec(T=1.0, M=M), starting=starting).trajectory.values[-1])
+    assert (end.real.hex(), end.imag.hex()) == u_M
+
+
+@pytest.mark.parametrize("bad", [_B + 3, 2 * _B, _D, 2 * _L + 5, 2 * _L],
+                         ids=["in_a_leaf", "at_a_leaf_start", "at_a_dense_level",
+                              "in_a_linear_leaf", "at_a_linear_leaf_start"])
 def test_nonfinite_step_at_the_edges_of_the_blocks(bad):
     grid = GridSpec(T=1.0, M=2 * _D)
     cut = (bad - 0.5) * grid.dt
@@ -463,6 +490,23 @@ def test_nonfinite_step_at_the_edges_of_the_blocks(bad):
     # under Newton the same rhs value is an error that names the step
     with pytest.raises(ValueError, match=f"non-finite value .* at step {bad} "):
         solve(ProblemSpec(alpha=0.5, u0=1.0, rhs=rhs), (2, 1), grid)
+
+
+def test_linear_overflow_from_finite_inputs():
+    # D^0.5 u = 27 u grows like exp(27^2 t): past the first leaves, |u| passes
+    # the largest double inside a leaf's product, with every input finite
+    problem = ProblemSpec(alpha=0.5, u0=1.0, rhs=lambda t, u: 27.0 * u, lam=27.0)
+    grid = GridSpec(T=1.0, M=512)
+    report = solve(problem, (1, 1), grid)
+    values = report.trajectory.values
+    bad = np.flatnonzero(~np.isfinite(values))[0]
+    assert _L < bad < grid.M
+    assert report.blowup
+    assert np.all(np.isnan(values[bad + 1:]))
+    with np.errstate(over="ignore", invalid="ignore"):   # the reference overflows too
+        ref = _reference_solve(problem, (1, 1), grid, head=[problem.u0])
+    assert _rel_dev(values[:bad], ref[:bad]) <= 1e-13
+    assert not np.signbit(values[:bad].imag).any()   # a real problem keeps +0.0
 
 
 def test_newton_names_a_nonfinite_rhs_du_value():
