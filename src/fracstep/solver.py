@@ -62,6 +62,7 @@ _FD_STEP_SCALE = 1.5e-8   # finite-difference step relative to 1 + |u|
 _LEAF = 8          # Newton: lags below this are summed directly at each step; a power of two
 _LINEAR_LEAF = 64  # the closed form: steps solved together by one Toeplitz product; a power of two
 _DENSE_ROWS = 256   # a block for at most this many targets is a dense product, else an FFT
+_GEMV_THREADED = 4096   # OpenBLAS threads a complex matrix-vector product of this many entries up
 
 
 class NewtonDivergedError(RuntimeError):
@@ -259,6 +260,10 @@ def _linear_leaves(rhs, g, h, ha, denom, past, n_start):
     u, omega = past.u, past.omega
     size = min(past.leaf, u.size)
     inverse = _lower_toeplitz_inverse(denom, omega[1:size])
+    # Waking OpenBLAS's thread pool can take milliseconds, against microseconds
+    # for the product, so a full leaf multiplies in two halves of rows, each
+    # under _GEMV_THREADED entries; every row's dot product keeps its bits.
+    parts = np.split(inverse, 2) if inverse.size >= _GEMV_THREADED else [inverse]
     # the lags from the values before the first step, which share its leaf
     for i in range(n_start):
         past.values[n_start:size] += omega[n_start - i : size - i] * u[i]
@@ -280,7 +285,7 @@ def _linear_leaves(rhs, g, h, ha, denom, past, n_start):
             if bad.size:
                 q = bad[0]
                 top, b[q:] = b[q], 0
-            x = inverse @ b
+            x = np.concatenate([part @ b for part in parts])
             if bad.size:
                 x[q] += inverse[0, 0] * top
             u[lo:m] = x[lo - c : m - c]

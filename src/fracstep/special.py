@@ -92,21 +92,27 @@ def mittag_leffler(alpha: float, beta: float, z):
 
     z is a scalar, for which a complex is returned, or an ndarray, for which
     a complex array of the same shape is returned.  The array form sums the
-    series for all points at once and gives the scalar loop's values, point
-    by point (bit for bit on real z).
+    series for all points at once, largest |z| first, and gives the scalar
+    loop's values, point by point (bit for bit on real z), in any order of
+    the points.
 
-    Direct series with Neumaier-compensated accumulation.  Summation stops
-    once a term falls below 1e-17 of the running sum; 400 terms is the hard
-    cap.  With w_k the rounding weight of term t_k (see _mlf_coefficients),
-    u * sum_k w_k |t_k| / |E| estimates the relative error; where it exceeds
-    1e-13 (cancellation: large |z| off the positive axis) MittagLefflerError
-    is raised rather than a value returned.  Hitting the term cap or
-    overflowing a term raises it too.  For an array, any one failing point
-    fails the call.
+    Direct series with compensated accumulation: Neumaier's branches in the
+    scalar loop, Knuth's branch-free TwoSum in the array form; both add the
+    exact rounding error of each sum, so they compensate alike.  Summation
+    stops once a term falls below 1e-17 of the running sum; 400 terms is the
+    hard cap.  With w_k the rounding weight of term t_k (see
+    _mlf_coefficients), u * sum_k w_k |t_k| / |E| estimates the relative
+    error; where it exceeds 1e-13 (cancellation: large |z| off the positive
+    axis) MittagLefflerError is raised rather than a value returned.  Hitting
+    the term cap or overflowing a term raises it too.  For an array, any one
+    failing point fails the call, and the error names the point of lowest
+    index among those failing first.
 
     Once |z^k| passes 1e280 the terms are formed as exp(k log z - lgamma)
     instead of z^k / Gamma.  Only the scalar loop has this log form; an array
-    point that reaches it is handed to the scalar loop.
+    point that reaches it is handed to the scalar loop.  The array form tests
+    for that only from the term at which 2 max|z|^k could pass 1e280, so
+    never when every |z| <= 1.
 
     The domain is alpha in (0, 2], beta > 0, |z| <= 10 (ValueError outside,
     for a bool in any argument, or for a non-finite z).
@@ -181,13 +187,6 @@ def _cancellation(rounding, total, alpha, beta, z):
     )
 
 
-def _neumaier(s, c, x):
-    """Elementwise Neumaier update of the running sum s and compensation c by x."""
-    t = s + x
-    c += np.where(np.abs(s) >= np.abs(x), (s - t) + x, (x - t) + s)
-    return t, c
-
-
 def _norm(parts):
     """|w| for w held as rows [re, im], or as [re] alone on the real axis."""
     return np.hypot(parts[0], parts[1]) if len(parts) == 2 else np.abs(parts[0])
@@ -205,60 +204,96 @@ def _mittag_leffler_array(alpha, beta, z):
 
     Each array operation is the scalar loop's operation, point by point, on
     rows [re, im] (only [re] when z is real, whose imaginary parts stay zero),
-    so the results match the scalar loop.  A point leaves the working set at
-    the term where the scalar loop would return.  A point whose next power
-    z^(k+1) passes 1e280, where the scalar loop turns to the log form of the
-    terms, leaves at that term too: it is handed to the scalar loop, whose
-    value (or error) it takes.
+    so the results match the scalar loop.  Two operations differ in form but
+    not in value:
+
+    - The compensated sum takes Knuth's branch-free TwoSum (TAOCP vol. 2,
+      4.2.2) where the scalar loop takes Neumaier's branches.  Both give the
+      exact rounding error of s + x (no sum here comes near overflow), so c
+      gets the same bits.
+    - The points run in order of |z|, largest first (a stable sort, so equal
+      |z| keep their input order); each point's arithmetic is the same in any
+      order.  A point leaves the working set at the term where the scalar
+      loop would return.  On a ray a smaller |z| returns no later, so the
+      points that leave are a tail of the working set, which shrinks to a
+      slice; where they are not, the set is copied through a mask.
+
+    A point whose next power z^(k+1) passes 1e280, where the scalar loop
+    turns to the log form of the terms, leaves at that term too: it is handed
+    to the scalar loop, whose value (or error) it takes.  That test runs only
+    from the first k at which 2 max|z|^(k+1) passes 1e280 (the factor 2 is
+    slack for the rounding of the repeated products), so never for max|z| <= 1.
+
+    Errors name the point the input order gives: a cancellation the lowest
+    index among the points failing at the earliest failing term, the term cap
+    the lowest index not finished.
     """
     if z.dtype.kind not in "iufc":
         raise ValueError(f"z must be a numeric array, got dtype {z.dtype}")
     z = z.astype(complex)
     if not np.all(np.isfinite(z)):
         raise ValueError("z must have finite components at every point")
-    z_max = np.abs(z).max() if z.size else 0.0
+    radius = np.abs(z.reshape(-1))
+    z_max = radius.max() if z.size else 0.0
     if z_max > _MLF_ABS_Z_MAX:
         raise ValueError(f"mittag_leffler requires |z| <= {_MLF_ABS_Z_MAX}, got max |z| = {z_max}")
     out = np.full(z.shape, 1.0 / math.gamma(beta), dtype=complex)
-    flat = out.reshape(-1)
-    idx = np.flatnonzero(z)          # z = 0 keeps 1/Gamma(beta)
-    zs = z.reshape(-1)[idx]
+    flat, zflat = out.reshape(-1), z.reshape(-1)
+    idx = np.flatnonzero(zflat)      # z = 0 keeps 1/Gamma(beta)
+    idx = idx[np.argsort(-radius[idx], kind="stable")]
+    zs = zflat[idx]
     rows = np.stack([zs.real, zs.imag]) if zs.imag.any() else zs.real[None, :]
     s, c = np.zeros_like(rows), np.zeros_like(rows)
     rounding = np.zeros(idx.size)
     p = np.zeros_like(rows)
     p[0] = 1.0                       # z^0
+    growth = math.log(z_max) if z_max > 1.0 else 0.0
+    log_form_from = math.log(_MLF_LOG_FORM_POWER / 2.0)
     lgs, inv_gammas, weights = _mlf_coefficients(alpha, beta)
     for k, lg in enumerate(lgs):
         if not idx.size:
             return out
         term = p * (inv_gammas[k] if lg < 745.0 else 0.0)
-        s, c = _neumaier(s, c, term)
+        t = s + term                 # TwoSum: c += the rounding error of s + term
+        back = t - s
+        c += (s - (t - back)) + (term - back)
+        s = t
         size = _norm(term)
         rounding += weights[k] * size
-        total = _norm(s + c)
+        summed = s + c
+        total = _norm(summed)
         done = size <= _MLF_STOP_RATIO * total
-        if done.any():
-            over = done & (_MLF_UNIT_ROUNDOFF * rounding > _MLF_REL_BUDGET * total)
-            if over.any():
-                j = over.argmax()
-                raise _cancellation(rounding[j], total[j], alpha, beta, complex(zs[j]))
-        p = _times(p, rows)
-        handed = ~done & (_norm(p) > _MLF_LOG_FORM_POWER)
-        if done.any() or handed.any():
-            for j in np.flatnonzero(handed):
-                flat[idx[j]] = mittag_leffler(alpha, beta, complex(zs[j]))
-            result = s[:, done] + c[:, done]
-            flat.real[idx[done]] = result[0]
+        finished = np.count_nonzero(done)
+        n = idx.size
+        if finished:                 # the finished points, as a slice when they are the tail
+            fin = slice(n - finished, n) if done[n - finished:].all() else done
+            over = _MLF_UNIT_ROUNDOFF * rounding[fin] > _MLF_REL_BUDGET * total[fin]
+            if over.any():           # name the failing point of lowest index
+                failing = np.arange(n)[fin][over]
+                j = failing[idx[failing].argmin()]
+                raise _cancellation(rounding[j], total[j], alpha, beta, complex(zflat[idx[j]]))
+            flat.real[idx[fin]] = summed[0, fin]
             if len(rows) == 2:
-                flat.imag[idx[done]] = result[1]
-            keep = ~(done | handed)
-            idx, zs, rounding = idx[keep], zs[keep], rounding[keep]
-            rows, s, c, p = rows[:, keep], s[:, keep], c[:, keep], p[:, keep]
+                flat.imag[idx[fin]] = summed[1, fin]
+        p = _times(p, rows)
+        keep = None
+        if growth and (k + 1) * growth > log_form_from:
+            handed = ~done & (_norm(p) > _MLF_LOG_FORM_POWER)
+            if handed.any():
+                for i in np.sort(idx[handed]):
+                    flat[i] = mittag_leffler(alpha, beta, complex(zflat[i]))
+                keep = ~(done | handed)
+        if keep is None:
+            if not finished:
+                continue
+            keep = slice(0, n - finished) if isinstance(fin, slice) else ~done
+        idx, rounding = idx[keep], rounding[keep]
+        rows, s, c, p = rows[:, keep], s[:, keep], c[:, keep], p[:, keep]
     if not idx.size:
         return out
     raise MittagLefflerError(
-        f"no convergence within {_MLF_MAX_TERMS} terms for alpha={alpha}, beta={beta}, z={zs[0]}"
+        f"no convergence within {_MLF_MAX_TERMS} terms for alpha={alpha}, beta={beta}, "
+        f"z={zflat[idx.min()]}"
     )
 
 

@@ -437,7 +437,8 @@ def test_newton_start_on_the_first_steps(starting, per_node):
     (linear_complex(0.5, -1.0), (1, 1), 20, "hold", ("0x1.7b97ebcf544ccp-2", "0x0.0p+0")),
     (linear_complex(0.7, 2j), (2, 2), 40, "bootstrap",
      ("0x1.78ad7317a2dbfp-2", "-0x1.148ba0f1be000p-18")),
-], ids=["two_leaves", "fft_block", "hold", "bootstrap"])
+    (mlf_decay(0.3), (3, 3), 1025, None, ("0x1.d39a67f074af6p-2", "0x1.7c714e943a1d9p-57")),
+], ids=["two_leaves", "fft_block", "hold", "bootstrap", "fft_block_at_1025"])
 def test_linear_path_endpoint_bits(problem, scheme, M, starting, u_M):
     # The closed-form step reads nothing of the Newton path, so a change to
     # Newton must leave these endpoints bit for bit.  The bits are those of one
@@ -446,7 +447,10 @@ def test_linear_path_endpoint_bits(problem, scheme, M, starting, u_M):
     # build may move the weights, or sum that product in another order, and so
     # these last bits.  The exact solution is real: the small imaginary parts
     # are the scheme's error, formed by cancellation in that product, so their
-    # trailing bits are zero.
+    # trailing bits are zero.  M = 600 has no FFT block (its block at step 512
+    # is a dense product); M = 1025 has one, whose rounding gives the real
+    # problem its tiny imaginary part, and its forcing runs the array
+    # Mittag-Leffler loop on 1025 points.
     end = complex(solve(problem, scheme, GridSpec(T=1.0, M=M), starting=starting).trajectory.values[-1])
     assert (end.real.hex(), end.imag.hex()) == u_M
 

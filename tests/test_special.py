@@ -251,6 +251,43 @@ def test_mittag_leffler_array_point_that_fails_the_series_raises():
         mittag_leffler(0.1, 1.0, np.array([0.5, 10.0]))
 
 
+def test_mittag_leffler_array_term_cap_names_the_lowest_index_unfinished_point():
+    # 2.9 and 3.0 both run out of terms; the error names the first of them in
+    # the input, not the one with the largest |z|
+    with pytest.raises(MittagLefflerError, match=r"no convergence .* z=\(2\.9\+0j\)"):
+        mittag_leffler(0.1, 1.0, np.array([0.5, 2.9, 3.0]))
+
+
+@pytest.mark.parametrize("z, named", [
+    ([-3.0, -3.0 - 1e-12], "-3"),   # both fail at the same term: the lower index
+    ([-5.0, -3.0], "-3"),           # -3 fails at an earlier term than -5
+    ([-0.5, -3.0, -5.0, -3.0 - 1e-12], "-3"),
+], ids=["same_term", "earlier_term", "mixed"])
+def test_mittag_leffler_array_cancellation_names_the_earliest_failing_point(z, named):
+    # among the points that fail at the earliest failing term, the lowest index
+    with pytest.raises(MittagLefflerError, match=rf"cancellation: .* z=\({named}\+0j\)$"):
+        mittag_leffler(0.5, 1.0, np.array(z))
+
+
+def _solver_grid_arguments():
+    t = GridSpec(T=1.0, M=2048).times()
+    return {"decay": (0.5, 1.0, -(t ** 0.5)), "exp": (1.0, 1.5, -t), "complex": (1.0, 1.7, 1j * t)}
+
+
+@pytest.mark.parametrize("case", ["decay", "exp", "complex"])
+def test_mittag_leffler_array_on_a_solver_grid_is_order_free(case):
+    # the forcings' arguments on the nodes of a solve: every point gets the
+    # same bits whatever the order of the points, and real points get the
+    # scalar loop's bits
+    alpha, beta, z = _solver_grid_arguments()[case]
+    got = mittag_leffler(alpha, beta, z)
+    if case != "complex":
+        assert np.array_equal(got, _scalar_loop(alpha, beta, z))
+    perm = np.random.default_rng(11).permutation(z.size)
+    shuffled = mittag_leffler(alpha, beta, z[perm])
+    assert np.array_equal(shuffled, got[perm])
+
+
 # ---------------------------------------------------------------------------
 # accuracy guard, against a 60-digit series
 
@@ -346,6 +383,15 @@ def test_mittag_leffler_stops_at_the_term_cap(z):
 def test_mittag_leffler_array_log_form_points_match_scalar_loop(alpha, z):
     got = mittag_leffler(alpha, 1.0, z)
     assert np.array_equal(got, _scalar_loop(alpha, 1.0, z))   # bit for bit
+
+
+def test_mittag_leffler_array_hands_over_at_the_first_power_past_1e280():
+    # 10^280 formed by repeated products passes 1e280 by its rounding, so z = 10
+    # is handed to the scalar loop at k = 279, before any other point of the
+    # grid, and the scalar loop's term-cap error names it; a hand-off test
+    # started one term late names 9.95 instead
+    with pytest.raises(MittagLefflerError, match=r"no convergence .* z=\(10\+0j\)$"):
+        mittag_leffler(0.45, 1.0, np.linspace(5.0, 10.0, 101))
 
 
 def test_mittag_leffler_array_log_form_overflow_raises():
