@@ -3,7 +3,7 @@
 Each step solves omega_0 u_n - dt^alpha f(t_n, u_n) + H_n = 0 with H_n the
 weighted history sum and f = rhs(t, u) + forcing(t).  The t-only forcing, when
 a problem declares one, is evaluated on t_1..t_M before the first step.
-A linear rhs (lam*u + rhs(t, 0)) uses the closed form, a leaf of steps at a
+A linear problem (rhs = lam*u) uses the closed form, a leaf of steps at a
 time; everything else runs an undamped Newton iteration on rhs, adding the
 forcing at t_n to each value, one step at a time, from a guess extrapolated
 from the last steps as in the predictor of Diethelm, Ford and Freed (Numer.
@@ -84,11 +84,12 @@ class ProblemSpec:
 
     forcing is an optional u-free part given on an ndarray of t (it returns an
     array of the same shape); the solver evaluates it on the grid's nodes
-    t_1..t_M in one call, and absent means zero.  lam marks rhs(t, u) =
-    lam * u + rhs(t, 0) (lam = 0 for a u-free rhs); the solver then steps by
-    the closed form and reads rhs only at u = 0, so an rhs of another form
-    is solved as if it were lam * u + rhs(t, 0), without a warning.  rhs_du
-    is the u-derivative of rhs for Newton; omitted means finite differences.
+    t_1..t_M in one call, and absent means zero.  lam marks a linear problem,
+    rhs(t, u) = lam * u (rhs = 0 with lam = 0), which the solver steps by the
+    closed form without calling rhs; construction checks rhs against lam * u
+    at three probe points and raises ValueError otherwise, so the u-free part
+    of a linear problem is stated in forcing.  rhs_du is the u-derivative of
+    rhs for Newton; omitted means finite differences.
     """
 
     alpha: float
@@ -103,7 +104,14 @@ class ProblemSpec:
         object.__setattr__(self, "alpha", require_alpha(self.alpha))
         object.__setattr__(self, "u0", require_finite_complex(self.u0, "u0"))
         if self.lam is not None:
-            object.__setattr__(self, "lam", require_finite_complex(self.lam, "lam"))
+            lam = require_finite_complex(self.lam, "lam")
+            object.__setattr__(self, "lam", lam)
+            # u = 0 at two times catches a u-free part, u = |u0| + i (never 0) a nonlinear rhs
+            for t, v in ((0.5, 0j), (1.0, 0j), (1.0, complex(abs(self.u0), 1.0))):
+                got = complex(self.rhs(t, v))
+                if not abs(got - lam * v) <= 1e-12 * (1.0 + abs(lam * v)):   # nan fails too
+                    raise ValueError(f"lam = {lam} needs rhs(t, u) = lam*u, but rhs({t}, {v}) = {got}; "
+                                     "a u-free part belongs in forcing")
         if self.exact is not None:
             at0 = require_finite_complex(self.exact(0.0), "exact(0)")
             if abs(at0 - self.u0) > 1e-12 * (1.0 + abs(self.u0)):
@@ -244,18 +252,17 @@ def _lower_toeplitz_inverse(pivot, below):
     return np.ascontiguousarray(sliding_window_view(column, size)[:, ::-1])
 
 
-def _linear_leaves(rhs, g, h, ha, denom, past, n_start):
+def _linear_leaves(g, ha, denom, past, n_start):
     """The closed-form steps n_start..M, a leaf at a time; returns the end of the stepped values.
 
     Each leaf solves T x = b for its steps, T lower-triangular Toeplitz with
     omega_0 - ha*lam on the diagonal and omega_1, omega_2, ... under it, and
-    b_n = ha*(rhs(t_n, 0) + g_n) - H_n with H_n the history sum over the
-    samples before the leaf.  One inverse of T serves every leaf.  rhs is
-    evaluated node by node up to its first non-finite value; b is zeroed from
-    its first non-finite entry on, so that no 0 * inf of the upper triangle
-    reaches the steps before it, and that entry's own term is added to its row
-    after the product.  Every step after the first non-finite one is left to
-    the caller, which makes it NaN.
+    b_n = ha*g_n - H_n with g the forcing array and H_n the history sum over
+    the samples before the leaf.  One inverse of T serves every leaf.  b is
+    zeroed from its first non-finite entry on (g or H_n may be non-finite),
+    so that no 0 * inf of the upper triangle reaches the steps before it, and
+    that entry's own term is added to its row after the product.  Every step
+    after the first non-finite one is left to the caller, which makes it NaN.
     """
     u, omega = past.u, past.omega
     size = min(past.leaf, u.size)
@@ -272,15 +279,8 @@ def _linear_leaves(rhs, g, h, ha, denom, past, n_start):
             if c:
                 past.add_block(c)
             lo, hi = max(c, n_start), min(c + size, u.size)
-            f = []
-            for n in range(lo, hi):
-                v = rhs(n * h, 0j) + g[n]
-                f.append(v)
-                if not isfinite(v):
-                    break
-            m = lo + len(f)
             b = np.zeros(size, dtype=complex)
-            b[lo - c : m - c] = ha * np.array(f, dtype=complex) - past.values[lo:m]
+            b[lo - c : hi - c] = ha * g[lo:hi] - past.values[lo:hi]
             bad = np.flatnonzero(~np.isfinite(b))
             if bad.size:
                 q = bad[0]
@@ -288,8 +288,8 @@ def _linear_leaves(rhs, g, h, ha, denom, past, n_start):
             x = np.concatenate([part @ b for part in parts])
             if bad.size:
                 x[q] += inverse[0, 0] * top
-            u[lo:m] = x[lo - c : m - c]
-            stop = np.flatnonzero(~np.isfinite(np.abs(u[lo:m])))
+            u[lo:hi] = x[lo - c : hi - c]
+            stop = np.flatnonzero(~np.isfinite(np.abs(u[lo:hi])))
             if stop.size:
                 return lo + int(stop[0]) + 1
     return u.size
@@ -366,12 +366,9 @@ def solve(
 
     A declared forcing is evaluated on t_1..t_M in one call before the first
     step, whatever the scheme and starting mode, so an error in it surfaces
-    there, and it is evaluated on the nodes past a non-finite step too.  On
-    the linear path rhs is evaluated once per step, as rhs(t_n, 0), a leaf
-    (_LINEAR_LEAF = 64 steps) at a time and in order, before the leaf is solved; it stops at
-    its first non-finite value, which makes that step non-finite.  A step that
-    overflows from finite values can therefore leave rhs already evaluated up
-    to the end of its leaf.  Under Newton rhs is evaluated at each step: at
+    there, and it is evaluated on the nodes past a non-finite step too.  The
+    linear path never calls rhs; a non-finite forcing value makes its step
+    non-finite.  Under Newton rhs is evaluated at each step: at
     the start, the quadratic extrapolation 3 u_{n-1} - 3 u_{n-2} + u_{n-3}
     (linear, then constant, on the first steps, which have fewer past values),
     and at each iterate that the update-size test does not accept, so never
@@ -416,21 +413,21 @@ def solve(
             )
 
     n_start = 2 if starting == "hold" else k
-    g = [0j] * (grid.M + 1)   # the forcing at each t_n, read as Python complex numbers
+    g = np.zeros(grid.M + 1, dtype=complex)   # the forcing at each t_n
     if problem.forcing is not None:
         ts = grid.times()[1:]   # every node that any scheme or starting mode steps to
         gs = np.asarray(problem.forcing(ts), dtype=complex)
         if gs.shape != ts.shape:
             raise ValueError(f"forcing returned shape {gs.shape} for {ts.size} grid times")
-        g[1:] = gs.tolist()
+        g[1:] = gs
 
     iters = np.zeros(grid.M + 1, dtype=int)
     starting_terms = (table.starting @ _pairs(u[:k])).view(complex).ravel()
     past = _LeafHistory(omega, u, starting_terms, _LINEAR_LEAF if linear else _LEAF)
     if linear:
-        end = _linear_leaves(problem.rhs, g, h, ha, denom, past, n_start)
-    else:
-        end = _newton_steps(problem, g, h, ha, omega0, cfg, past, n_start, iters)
+        end = _linear_leaves(g, ha, denom, past, n_start)
+    else:   # Newton reads g as Python complex numbers
+        end = _newton_steps(problem, g.tolist(), h, ha, omega0, cfg, past, n_start, iters)
     u[end:] = np.nan   # past a non-finite step
     mags = np.abs(u)
     finite = np.isfinite(mags)

@@ -10,10 +10,13 @@ import fracstep
 
 @pytest.fixture
 def per_node():
-    """p -> the same problem with its forcing folded into rhs, f = rhs + forcing, node by node."""
+    """p -> the same problem with its forcing folded into rhs, f = rhs + forcing, node by node.
+
+    The result has no lam, so it steps by Newton: with lam, rhs must be lam*u.
+    """
 
     def fold(p):
-        return dataclasses.replace(p, rhs=lambda t, u: p.rhs(t, u) + p.forcing(t), forcing=None)
+        return dataclasses.replace(p, rhs=lambda t, u: p.rhs(t, u) + p.forcing(t), forcing=None, lam=None)
 
     return fold
 

@@ -118,8 +118,8 @@ def test_run_convergence_row_order_and_rates():
 
 def test_run_convergence_blowup_rows():
     def factory(alpha):
-        return ProblemSpec(alpha=alpha, u0=0.0, rhs=lambda t, u: 1e35, lam=0.0,
-                           exact=lambda t: 0.0 + 0.0j)
+        return ProblemSpec(alpha=alpha, u0=0.0, rhs=lambda t, u: 0j, lam=0.0,
+                           exact=lambda t: 0.0 + 0.0j, forcing=lambda t: np.full(t.shape, 1e35))
 
     rows = run_convergence(factory, [(1, 1)], [0.5], [8, 16])
     assert all(r.blowup for r in rows)
@@ -506,15 +506,16 @@ def test_trajectory_csv_header_check():
         read_trajectory_csv(io.StringIO("n,t\n"))
 
 
-@pytest.mark.parametrize("u0, lam, rhs", [
-    (1.0, -1.0, lambda t, u: math.nan if t > 0.5 else 0j),   # a non-finite step
-    (0.0, 0.0, lambda t, u: 1e35),                           # past the overflow threshold
+@pytest.mark.parametrize("u0, lam, forcing", [
+    (1.0, -1.0, lambda t: np.where(t > 0.5, math.nan, 0.0)),   # a non-finite step
+    (0.0, 0.0, lambda t: np.full(t.shape, 1e35)),              # past the overflow threshold
 ], ids=["nonfinite", "overflow"])
-def test_convergence_csv_round_trips_blowup_rows(u0, lam, rhs):
+def test_convergence_csv_round_trips_blowup_rows(u0, lam, forcing):
     # a blown-up cell's abs_err is its largest |u_n|, which without the flag
     # reads back as an ordinary error
     def factory(alpha):
-        return ProblemSpec(alpha=alpha, u0=u0, rhs=rhs, lam=lam, exact=lambda t: complex(u0))
+        return ProblemSpec(alpha=alpha, u0=u0, rhs=lambda t, u: lam * u, lam=lam,
+                           exact=lambda t: complex(u0), forcing=forcing)
 
     rows = run_convergence(factory, [(1, 1)], [0.5], [8, 16])
     assert all(r.blowup for r in rows)

@@ -109,10 +109,10 @@ def test_newton_divergence_reported():
 def _reference_solve(problem, scheme, grid, head=None, newton=None):
     """Stepping with an exactly rounded history sum.
 
-    problem states its whole right-hand side in rhs (no forcing).  head holds
-    the values before the first step, by default the exact solution at
-    t_0..t_{k-1}.  A problem with lam takes the closed-form step, any other
-    the solver's own Newton step.
+    head holds the values before the first step, by default the exact solution
+    at t_0..t_{k-1}.  A problem with lam takes the closed-form step, reading
+    its forcing (if any) node by node; any other states its whole right-hand
+    side in rhs (no forcing) and takes the solver's own Newton step.
     """
     table = weight_table(scheme, problem.alpha, grid.M)
     k, h = table.scheme.k, grid.dt
@@ -125,16 +125,12 @@ def _reference_solve(problem, scheme, grid, head=None, newton=None):
         w = np.concatenate((table.omega[n:0:-1], table.starting[n]))
         H = compensated_cdot(w, np.concatenate((u[:n], u[:k])))
         if problem.lam is not None:
-            u[n] = (ha * problem.rhs(n * h, 0.0) - H) / (omega0 - ha * problem.lam)
+            g = 0.0 if problem.forcing is None else problem.forcing(n * h)
+            u[n] = (ha * g - H) / (omega0 - ha * problem.lam)
         else:
             u[n] = _newton_step(problem.rhs, problem.rhs_du, n, n * h, complex(u[n - 1]),
                                 omega0, ha, H, newton, 0j)[0]
     return u
-
-
-def _reference_linear_solve(problem, scheme, grid):
-    """Exact-started closed-form stepping with an exactly rounded history sum."""
-    return _reference_solve(problem, scheme, grid)
 
 
 @pytest.mark.parametrize("problem, scheme", [
@@ -142,15 +138,16 @@ def _reference_linear_solve(problem, scheme, grid):
     (linear_complex(0.5, -1.0), (2, 1)),
     (linear_complex(0.3, 2.0 + 1.0j), (3, 2)),
 ])
-def test_history_sum_matches_exactly_rounded_reference(problem, scheme, per_node):
+def test_history_sum_matches_exactly_rounded_reference(problem, scheme):
     grid = GridSpec(T=1.0, M=2048)
     got = solve(problem, scheme, grid, starting="exact").trajectory.values
-    ref = _reference_linear_solve(per_node(problem), scheme, grid)
+    ref = _reference_solve(problem, scheme, grid)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_blowup_flagged_not_raised():
-    problem = ProblemSpec(alpha=0.5, u0=0.0, rhs=lambda t, u: 1e35, lam=0.0)
+    problem = ProblemSpec(alpha=0.5, u0=0.0, rhs=lambda t, u: 0j, lam=0.0,
+                          forcing=lambda t: np.full(t.shape, 1e35))
     report = solve(problem, (1, 1), GridSpec(T=1.0, M=8))
     assert report.blowup
     assert report.max_abs_u > 1e30
@@ -160,9 +157,8 @@ def test_blowup_flagged_not_raised():
 
 
 def test_nonfinite_step_truncates_trajectory():
-    problem = ProblemSpec(alpha=0.5, u0=1.0,
-                          rhs=lambda t, u: math.inf if t > 0.3 else 0.0,
-                          lam=0.0)
+    problem = ProblemSpec(alpha=0.5, u0=1.0, rhs=lambda t, u: 0j, lam=0.0,
+                          forcing=lambda t: np.where(t > 0.3, math.inf, 0.0))
     report = solve(problem, (1, 1), GridSpec(T=1.0, M=8))
     assert report.blowup
     values = report.trajectory.values
@@ -236,6 +232,24 @@ def test_problem_spec_validation():
         "alpha", "u0", "rhs", "rhs_du", "lam", "exact", "forcing"]
 
 
+@pytest.mark.parametrize("rhs", [lambda t, u: -u * u, lambda t, u: 1.0 - u, lambda t, u: math.sin(t) - u],
+                         ids=["nonlinear", "constant_part", "time_dependent_part"])
+def test_lam_rejects_an_rhs_other_than_lam_u(rhs):
+    # with lam the step is the closed form for lam*u: a nonlinear rhs would be
+    # solved as linear, and a u-free part belongs in forcing
+    with pytest.raises(ValueError, match="belongs in forcing"):
+        ProblemSpec(alpha=0.5, u0=1.0, rhs=rhs, lam=-1.0)
+
+
+@pytest.mark.parametrize("make", [lambda: mlf_decay(0.5), lambda: linear_complex(0.5, -1.0 + 0.5j),
+                                  lambda: nonlinear_square(0.5, -1.0),
+                                  lambda: ProblemSpec(alpha=0.5, u0=1j, rhs=lambda t, u: (2 - 3j) * u, lam=2 - 3j),
+                                  lambda: ProblemSpec(alpha=0.5, u0=1.0, rhs=lambda t, u: 0j, lam=0.0)],
+                         ids=["mlf_decay", "linear_complex", "nonlinear_square", "complex_lam", "zero_lam"])
+def test_lam_accepts_rhs_equal_to_lam_u(make):
+    make()
+
+
 def test_report_error_array():
     problem = linear_complex(0.5, -1.0)
     grid = GridSpec(T=1.0, M=8)
@@ -267,22 +281,29 @@ ALL_SCHEMES = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]
 @pytest.mark.parametrize("problem", [mlf_decay(0.5), linear_complex(0.5, -1.0 + 0.5j),
                                      nonlinear_square(0.5, -1.0), nonlinear_square(0.5, 1j)],
                          ids=["mlf_decay", "linear_complex", "nonlinear_real", "nonlinear_imag"])
-def test_declared_forcing_matches_per_node_rhs(problem, scheme, per_node):
-    # NumPy's ** and libm's pow may differ in the last bit, nothing more
+def test_declared_forcing_matches_per_node_rhs(problem, scheme):
+    # the forcing on the whole grid against one scalar call per node, on either
+    # step: NumPy's ** and libm's pow may differ in the last bit, nothing more
     grid = GridSpec(T=1.0, M=96)
     vector = solve(problem, scheme, grid).trajectory.values
-    folded = solve(per_node(problem), scheme, grid).trajectory.values
+    per_node = dataclasses.replace(problem, forcing=lambda t: np.array([problem.forcing(x) for x in t.tolist()]))
+    folded = solve(per_node, scheme, grid).trajectory.values
     assert np.all(np.abs(vector - folded) <= 1e-15 * np.abs(folded))
 
 
 @pytest.mark.parametrize("lam", [True, False], ids=["lam", "no_lam"])
 @pytest.mark.parametrize("forcing", [True, False], ids=["forcing", "no_forcing"])
 def test_lam_and_forcing_combine_freely(lam, forcing, per_node):
-    # lam only selects the closed-form step, and forcing may be folded into rhs:
-    # all four declarations of the same problem give the same trajectory.
+    # lam selects the closed-form step and needs rhs = lam*u, so a forcing
+    # folded into rhs is rejected with lam; the three other declarations of
+    # the same problem give the same trajectory.
     problem = linear_complex(0.5, -1.0 + 0.5j)
     reference = solve(problem, (2, 2), GridSpec(T=1.0, M=64)).trajectory.values
-    variant = problem if forcing else per_node(problem)
+    variant = problem if forcing else per_node(problem)   # per_node drops lam
+    if lam and not forcing:
+        with pytest.raises(ValueError, match="belongs in forcing"):
+            dataclasses.replace(variant, lam=problem.lam)
+        return
     if not lam:
         variant = dataclasses.replace(variant, lam=None)
     got = solve(variant, (2, 2), GridSpec(T=1.0, M=64), newton=NewtonConfig(tol=1e-15))
@@ -318,20 +339,6 @@ def test_forcing_must_match_the_grid_shape():
         solve(short, (1, 1), GridSpec(T=1.0, M=8))
 
 
-def test_per_node_rhs_stops_at_a_nonfinite_step():
-    seen = []
-
-    def rhs(t, u):
-        seen.append(t)
-        if t > 0.5:
-            raise AssertionError("rhs evaluated past the non-finite step")
-        return math.inf if t > 0.3 else 0.0
-
-    report = solve(ProblemSpec(alpha=0.5, u0=1.0, rhs=rhs, lam=0.0), (1, 1), GridSpec(T=1.0, M=8))
-    assert report.blowup
-    assert seen == [0.125, 0.25, 0.375]
-
-
 def test_forcing_errors_surface_before_the_first_step():
     calls = []
 
@@ -364,11 +371,11 @@ def _rel_dev(got, ref):
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-def test_blocked_history_matches_exactly_rounded_reference(scheme, per_node):
+def test_blocked_history_matches_exactly_rounded_reference(scheme):
     problem = linear_complex(0.5, -1.0 + 0.5j)
     for grid in _block_grids(scheme[0]):
         got = solve(problem, scheme, grid, starting="exact").trajectory.values
-        ref = _reference_solve(per_node(problem), scheme, grid)
+        ref = _reference_solve(problem, scheme, grid)
         assert _rel_dev(got, ref) <= 1e-13, grid.M
 
 
@@ -389,18 +396,17 @@ def test_blocked_history_on_the_newton_path(scheme, per_node):
 
 @pytest.mark.parametrize("starting, scheme", [("hold", (1, 1)), ("bootstrap", (2, 2)),
                                               ("bootstrap", (3, 1))])
-def test_blocked_history_under_each_starting_mode(starting, scheme, per_node):
+def test_blocked_history_under_each_starting_mode(starting, scheme):
     problem = linear_complex(0.5, -1.0 + 0.5j)
-    folded = per_node(problem)
     k = scheme[0]
     for grid in _block_grids(k):
         if starting == "hold":
             head = [problem.u0, problem.u0]   # stepping begins at n = 2
         else:   # the (1,1) scheme on the prefix grid of k - 1 < _LEAF steps
             prefix = GridSpec(T=grid.dt * (k - 1), M=k - 1)
-            head = _reference_solve(folded, (1, 1), prefix)
+            head = _reference_solve(problem, (1, 1), prefix)
         got = solve(problem, scheme, grid, starting=starting).trajectory.values
-        ref = _reference_solve(folded, scheme, grid, head=head)
+        ref = _reference_solve(problem, scheme, grid, head=head)
         assert _rel_dev(got, ref) <= 1e-13, grid.M
 
 
@@ -484,8 +490,11 @@ def test_nonfinite_step_at_the_edges_of_the_blocks(bad):
     def rhs(t, u):
         return (math.inf if t > cut else 1.0) - u
 
-    clean = solve(ProblemSpec(alpha=0.5, u0=1.0, rhs=lambda t, u: 1.0 - u, lam=-1.0), (2, 1), grid)
-    report = solve(ProblemSpec(alpha=0.5, u0=1.0, rhs=rhs, lam=-1.0), (2, 1), grid)
+    def linear(forcing):
+        return ProblemSpec(alpha=0.5, u0=1.0, rhs=lambda t, u: -u, lam=-1.0, forcing=forcing)
+
+    clean = solve(linear(np.ones_like), (2, 1), grid)
+    report = solve(linear(lambda t: np.where(t > cut, math.inf, 1.0)), (2, 1), grid)
     values = report.trajectory.values
     assert report.blowup
     assert np.array_equal(values[:bad], clean.trajectory.values[:bad])
