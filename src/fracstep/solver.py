@@ -198,7 +198,7 @@ class _LeafHistory:
         self.omega, self.u, self.values, self.leaf = omega, u, starting_terms, leaf
         self._u_pairs, self._value_pairs = _pairs(u), _pairs(starting_terms)
         self._rows = {}      # s -> rows omega_{s+i-j} for block targets i, samples j
-        self._spectra = {}   # s -> FFT of omega at lags leaf..2s-1, zero below leaf
+        self._spectra = {}   # s -> real FFT of omega at lags leaf..2s-1, zero below leaf, as a column
         # the lags below leaf, which the FFT leaves out: from the last leaf into the next
         self._carry = np.triu(self._block_rows(leaf, leaf), 1)
 
@@ -225,10 +225,11 @@ class _LeafHistory:
             return
         spectrum = self._spectra.get(s)
         if spectrum is None:
-            spectrum = self._spectra[s] = np.fft.fft(self._kernel(s, self.leaf))
-        block = np.fft.fft(self.u[c - s : c], 2 * s)
+            spectrum = self._spectra[s] = np.fft.rfft(self._kernel(s, self.leaf))[:, None]
+        # the real and imaginary parts apart, so a real problem keeps +0.0 imaginary parts;
         # a circular convolution of length 2s: outputs s..2s-1 do not wrap
-        self.values[c : c + w] += np.fft.ifft(block * spectrum)[s : s + w]
+        block = np.fft.rfft(self._u_pairs[c - s : c], 2 * s, axis=0)
+        self._value_pairs[c : c + w] += np.fft.irfft(block * spectrum, 2 * s, axis=0)[s : s + w]
         leaf = self.leaf
         self._value_pairs[c : c + leaf] += self._carry @ self._u_pairs[c - leaf : c]
 

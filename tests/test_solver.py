@@ -443,7 +443,7 @@ def test_newton_start_on_the_first_steps(starting, per_node):
     (linear_complex(0.5, -1.0), (1, 1), 20, "hold", ("0x1.7b97ebcf544ccp-2", "0x0.0p+0")),
     (linear_complex(0.7, 2j), (2, 2), 40, "bootstrap",
      ("0x1.78ad7317a2dbfp-2", "-0x1.148ba0f1be000p-18")),
-    (mlf_decay(0.3), (3, 3), 1025, None, ("0x1.d39a67f074af6p-2", "0x1.7c714e943a1d9p-57")),
+    (mlf_decay(0.3), (3, 3), 1025, None, ("0x1.d39a67f074af6p-2", "0x0.0p+0")),
 ], ids=["two_leaves", "fft_block", "hold", "bootstrap", "fft_block_at_1025"])
 def test_linear_path_endpoint_bits(problem, scheme, M, starting, u_M):
     # The closed-form step reads nothing of the Newton path, so a change to
@@ -454,9 +454,9 @@ def test_linear_path_endpoint_bits(problem, scheme, M, starting, u_M):
     # these last bits.  The exact solution is real: the small imaginary parts
     # are the scheme's error, formed by cancellation in that product, so their
     # trailing bits are zero.  M = 600 has no FFT block (its block at step 512
-    # is a dense product); M = 1025 has one, whose rounding gives the real
-    # problem its tiny imaginary part, and its forcing runs the array
-    # Mittag-Leffler loop on 1025 points.
+    # is a dense product); M = 1025 has one, which transforms the real and
+    # imaginary parts apart, so the real problem stays real, and its forcing
+    # runs the array Mittag-Leffler loop on 1025 points.
     end = complex(solve(problem, scheme, GridSpec(T=1.0, M=M), starting=starting).trajectory.values[-1])
     assert (end.real.hex(), end.imag.hex()) == u_M
 
@@ -465,7 +465,7 @@ def test_linear_path_endpoint_bits(problem, scheme, M, starting, u_M):
     (nonlinear_square(0.5, -1.0 + 0.5j), (2, 1), 40, None,
      ("0x1.4a976b4c19c51p-2", "0x1.69374a46dabaep-3")),
     (nonlinear_square(0.3, -1.0), (3, 3), 1025, None,
-     ("0x1.78b56362cf5f5p-2", "0x1.d0a21484f388cp-55")),
+     ("0x1.78b56362cf5f4p-2", "0x0.0p+0")),
     (nonlinear_square(0.5, -1.0), (1, 1), 20, "hold", ("0x1.7b6195437618ap-2", "0x0.0p+0")),
     (nonlinear_square(0.7, 1j), (2, 2), 40, "bootstrap",
      ("0x1.14a238cbcfa06p-1", "0x1.aed4244869400p-1")),
@@ -474,10 +474,19 @@ def test_newton_path_endpoint_bits(problem, scheme, M, starting, u_M):
     # The Newton step keeps its leaves of _LEAF steps in the history that it
     # shares with the closed-form step, so a change to the closed form must
     # leave these endpoints bit for bit.  Same build caveat as the linear pin.
-    # M = 1025 reaches an FFT block (512 targets from step 512); the
-    # FFT's rounding gives the real problem its tiny imaginary part.
+    # M = 1025 reaches an FFT block (512 targets from step 512), which keeps
+    # the real problem's imaginary part exactly zero.
     end = complex(solve(problem, scheme, GridSpec(T=1.0, M=M), starting=starting).trajectory.values[-1])
     assert (end.real.hex(), end.imag.hex()) == u_M
+
+
+@pytest.mark.parametrize("M", [1025, 4096])
+@pytest.mark.parametrize("problem", [mlf_decay(0.3), nonlinear_square(0.3, -1.0)], ids=["linear", "newton"])
+def test_a_real_problem_stays_real_through_the_fft_blocks(problem, M):
+    # the FFT blocks transform the real and imaginary parts apart, so real
+    # data gives no rounding noise in the imaginary part
+    values = solve(problem, (3, 3), GridSpec(T=1.0, M=M)).trajectory.values
+    assert np.all(values.imag == 0.0)
 
 
 @pytest.mark.parametrize("bad", [_B + 3, 2 * _B, _D, 2 * _L + 5, 2 * _L],
