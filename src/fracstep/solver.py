@@ -226,7 +226,7 @@ class _LeafHistory:
         spectrum = self._spectra.get(s)
         if spectrum is None:
             spectrum = self._spectra[s] = np.fft.rfft(self._kernel(s, self.leaf))[:, None]
-        # the real and imaginary parts apart, so a real problem keeps +0.0 imaginary parts;
+        # the real and imaginary parts apart, so a real problem keeps zero imaginary parts;
         # a circular convolution of length 2s: outputs s..2s-1 do not wrap
         block = np.fft.rfft(self._u_pairs[c - s : c], 2 * s, axis=0)
         self._value_pairs[c : c + w] += np.fft.irfft(block * spectrum, 2 * s, axis=0)[s : s + w]
