@@ -86,10 +86,12 @@ class ProblemSpec:
     array of the same shape); the solver evaluates it on the grid's nodes
     t_1..t_M in one call, and absent means zero.  lam marks a linear problem,
     rhs(t, u) = lam * u (rhs = 0 with lam = 0), which the solver steps by the
-    closed form without calling rhs; construction checks rhs against lam * u
-    at three probe points and raises ValueError otherwise, so the u-free part
-    of a linear problem is stated in forcing.  rhs_du is the u-derivative of
-    rhs for Newton; omitted means finite differences.
+    closed form without calling rhs.  Construction checks rhs against lam * u
+    only at u = 0 for t = 0.5 and 1.0 and at u = |u0| + i for t = 1.0, and
+    raises ValueError otherwise; a u-free part that vanishes at those probes
+    passes and is dropped, so the u-free part of a linear problem must be
+    stated in forcing.  rhs_du is the u-derivative of rhs for Newton; omitted
+    means finite differences.
     """
 
     alpha: float

@@ -281,13 +281,14 @@ ALL_SCHEMES = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]
 @pytest.mark.parametrize("problem", [mlf_decay(0.5), linear_complex(0.5, -1.0 + 0.5j),
                                      nonlinear_square(0.5, -1.0), nonlinear_square(0.5, 1j)],
                          ids=["mlf_decay", "linear_complex", "nonlinear_real", "nonlinear_imag"])
-def test_declared_forcing_matches_per_node_rhs(problem, scheme):
-    # the forcing on the whole grid against one scalar call per node, on either
-    # step: NumPy's ** and libm's pow may differ in the last bit, nothing more
+def test_declared_forcing_matches_per_node_rhs(problem, scheme, per_node):
+    # Newton: the forcing folded into rhs, one scalar call per node; the closed
+    # form, whose rhs must be lam*u: the forcing called once per node on scalars.
+    # NumPy's ** and libm's pow may differ in the last bit, nothing more
     grid = GridSpec(T=1.0, M=96)
     vector = solve(problem, scheme, grid).trajectory.values
-    per_node = dataclasses.replace(problem, forcing=lambda t: np.array([problem.forcing(x) for x in t.tolist()]))
-    folded = solve(per_node, scheme, grid).trajectory.values
+    scalar = dataclasses.replace(problem, forcing=lambda t: np.array([problem.forcing(x) for x in t.tolist()]))
+    folded = solve(per_node(problem) if problem.lam is None else scalar, scheme, grid).trajectory.values
     assert np.all(np.abs(vector - folded) <= 1e-15 * np.abs(folded))
 
 
