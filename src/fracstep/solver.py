@@ -20,9 +20,9 @@ Toeplitz rows of omega for at most _DENSE_ROWS targets, else by an FFT.  A
 Newton step sums the lags inside its own leaf in plain Python.  The closed
 form solves a whole leaf at once: its steps satisfy a lower-triangular
 Toeplitz system, omega_0 - dt^alpha lam on the diagonal and omega_1,
-omega_2, ... under it, and one product with the inverse of that matrix, built
-once per solve, gives them all.  A solve costs O(M log^2 M) and one block per
-leaf.
+omega_2, ... under it, and one convolution with the reciprocal series of that
+matrix's column, built once per solve, gives them all.  A solve costs
+O(M log^2 M) and one block per leaf.
 
 Rounding: the FFT kernels are zero at lags below the leaf, where the weights
 are largest; those lags, from the last leaf into the next, go through a dense
@@ -60,9 +60,8 @@ _BLOWUP_THRESHOLD = 1e30
 _PIVOT_REL_TOL = 1e-14
 _FD_STEP_SCALE = 1.5e-8   # finite-difference step relative to 1 + |u|
 _LEAF = 8          # Newton: lags below this are summed directly at each step; a power of two
-_LINEAR_LEAF = 64  # the closed form: steps solved together by one Toeplitz product; a power of two
+_LINEAR_LEAF = 64  # the closed form: steps solved together by one convolution; a power of two
 _DENSE_ROWS = 256   # a block for at most this many targets is a dense product, else an FFT
-_GEMV_THREADED = 4096   # OpenBLAS threads a complex matrix-vector product of this many entries up
 
 
 class NewtonDivergedError(RuntimeError):
@@ -236,23 +235,21 @@ class _LeafHistory:
         self._value_pairs[c : c + leaf] += self._carry @ self._u_pairs[c - leaf : c]
 
 
-def _lower_toeplitz_inverse(pivot, below):
-    """The inverse of the lower-triangular Toeplitz matrix with pivot on its diagonal
-    and below[0], below[1], ... on the diagonals under it.
+def _reciprocal_series(pivot, below):
+    """The reciprocal of the power series pivot + below[0] x + below[1] x^2 + ...,
+    truncated to below.size + 1 terms.
 
-    The inverse is lower-triangular Toeplitz too.  Its first column t is the
-    reciprocal power series, t_0 = 1/pivot and t_n = -(below[0] t_{n-1} + ... +
-    below[n-1] t_0) / pivot, and its upper triangle is exactly zero.  Each sum
-    is exactly rounded: every leaf reuses t, so its rounding would not average
-    out over the solve.
+    t_0 = 1/pivot and t_n = -(below[0] t_{n-1} + ... + below[n-1] t_0) / pivot.
+    It is the first column of the inverse of the lower-triangular Toeplitz
+    matrix with pivot on its diagonal and below under it.  Each sum is exactly
+    rounded: every leaf reuses t, so its rounding would not average out over
+    the solve.
     """
-    size = below.size + 1
-    t = np.empty(size, dtype=complex)
+    t = np.empty(below.size + 1, dtype=complex)
     t[0] = 1 / pivot
-    for n in range(1, size):
+    for n in range(1, t.size):
         t[n] = -compensated_cdot(below[:n], t[n - 1 :: -1]) / pivot
-    column = np.concatenate((np.zeros(size - 1, dtype=complex), t))   # t_n at size-1+n
-    return np.ascontiguousarray(sliding_window_view(column, size)[:, ::-1])
+    return t
 
 
 def _linear_leaves(g, ha, denom, past, n_start):
@@ -261,19 +258,15 @@ def _linear_leaves(g, ha, denom, past, n_start):
     Each leaf solves T x = b for its steps, T lower-triangular Toeplitz with
     omega_0 - ha*lam on the diagonal and omega_1, omega_2, ... under it, and
     b_n = ha*g_n - H_n with g the forcing array and H_n the history sum over
-    the samples before the leaf.  One inverse of T serves every leaf.  b is
-    zeroed from its first non-finite entry on (g or H_n may be non-finite),
-    so that no 0 * inf of the upper triangle reaches the steps before it, and
-    that entry's own term is added to its row after the product.  Every step
-    after the first non-finite one is left to the caller, which makes it NaN.
+    the samples before the leaf.  x is the convolution of b with the
+    reciprocal series of T's column, one series for every leaf, so x_n reads
+    b_0..b_n only and a non-finite b_n leaves the steps before it as they
+    are.  Every step after the first non-finite one is left to the caller,
+    which makes it NaN.
     """
     u, omega = past.u, past.omega
     size = min(past.leaf, u.size)
-    inverse = _lower_toeplitz_inverse(denom, omega[1:size])
-    # Waking OpenBLAS's thread pool can take milliseconds, against microseconds
-    # for the product, so a full leaf multiplies in two halves of rows, each
-    # under _GEMV_THREADED entries; every row's dot product keeps its bits.
-    parts = np.split(inverse, 2) if inverse.size >= _GEMV_THREADED else [inverse]
+    t = _reciprocal_series(denom, omega[1:size])
     # the lags from the values before the first step, which share its leaf
     for i in range(n_start):
         past.values[n_start:size] += omega[n_start - i : size - i] * u[i]
@@ -284,14 +277,7 @@ def _linear_leaves(g, ha, denom, past, n_start):
             lo, hi = max(c, n_start), min(c + size, u.size)
             b = np.zeros(size, dtype=complex)
             b[lo - c : hi - c] = ha * g[lo:hi] - past.values[lo:hi]
-            bad = np.flatnonzero(~np.isfinite(b))
-            if bad.size:
-                q = bad[0]
-                top, b[q:] = b[q], 0
-            x = np.concatenate([part @ b for part in parts])
-            if bad.size:
-                x[q] += inverse[0, 0] * top
-            u[lo:hi] = x[lo - c : hi - c]
+            u[lo:hi] = np.convolve(t, b)[lo - c : hi - c]
             stop = np.flatnonzero(~np.isfinite(np.abs(u[lo:hi])))
             if stop.size:
                 return lo + int(stop[0]) + 1

@@ -29,7 +29,6 @@ __all__ = [
     "boundary_locus",
     "in_stability_region",
     "series_diagnostics",
-    "phi_at",
 ]
 
 _DEFAULT_TERMS = 6000
@@ -166,11 +165,3 @@ def series_diagnostics(scheme, alpha: float, n_max: int) -> SeriesDiagnostics:
     psi.flags.writeable = False
     return SeriesDiagnostics(phi=phi, psi=psi)
 
-
-def phi_at(diag: SeriesDiagnostics, xi) -> complex:
-    """phi(xi) by truncated power series (|xi| < 1 for sensible use)."""
-    xi = require_finite_complex(xi, "xi")
-    acc = 0.0 + 0.0j
-    for c in diag.phi[::-1]:
-        acc = acc * xi + c
-    return acc

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -439,25 +441,26 @@ def test_newton_start_on_the_first_steps(starting, per_node):
 
 @pytest.mark.parametrize("problem, scheme, M, starting, u_M", [
     (linear_complex(0.5, -1.0 + 0.5j), (2, 1), 40, None,
-     ("0x1.78b4afab3a626p-2", "-0x1.6faf1e7520000p-21")),
-    (mlf_decay(0.3), (3, 3), 600, None, ("0x1.d3a35a5ba5290p-2", "0x0.0p+0")),
-    (linear_complex(0.5, -1.0), (1, 1), 20, "hold", ("0x1.7b97ebcf544ccp-2", "0x0.0p+0")),
+     ("0x1.78b4afab3a626p-2", "-0x1.6faf1e7540000p-21")),
+    (mlf_decay(0.3), (3, 3), 600, None, ("0x1.d3a35a5ba5291p-2", "0x0.0p+0")),
+    (linear_complex(0.5, -1.0), (1, 1), 20, "hold", ("0x1.7b97ebcf544cbp-2", "0x0.0p+0")),
     (linear_complex(0.7, 2j), (2, 2), 40, "bootstrap",
-     ("0x1.78ad7317a2dbfp-2", "-0x1.148ba0f1be000p-18")),
+     ("0x1.78ad7317a2dc0p-2", "-0x1.148ba0f1c2000p-18")),
     (mlf_decay(0.3), (3, 3), 1025, None, ("0x1.d39a67f074af6p-2", "0x0.0p+0")),
 ], ids=["two_leaves", "fft_block", "hold", "bootstrap", "fft_block_at_1025"])
 def test_linear_path_endpoint_bits(problem, scheme, M, starting, u_M):
     # The closed-form step reads nothing of the Newton path, so a change to
-    # Newton must leave these endpoints bit for bit.  The bits are those of one
-    # NumPy, BLAS and libm build (x86-64, NumPy 2.4, OpenBLAS 0.3.31): each
-    # leaf is one complex product with the inverse Toeplitz matrix, and another
-    # build may move the weights, or sum that product in another order, and so
-    # these last bits.  The exact solution is real: the small imaginary parts
-    # are the scheme's error, formed by cancellation in that product, so their
-    # trailing bits are zero.  M = 600 has no FFT block (its block at step 512
-    # is a dense product); M = 1025 has one, which transforms the real and
-    # imaginary parts apart, so the real problem stays real, and its forcing
-    # runs the array Mittag-Leffler loop on 1025 points.
+    # Newton must leave these endpoints bit for bit.  Each leaf is one
+    # convolution with the reciprocal series.  The pins were taken on NumPy
+    # 2.4.6, OpenBLAS 0.3.31 and Python 3.11.7, x86-64: the dense history
+    # blocks and the starting terms are still that build's BLAS products, and
+    # the long blocks its FFT, so another build may move these last bits.  The
+    # exact solution is real: the small imaginary parts are the scheme's error,
+    # formed by cancellation in each leaf's convolution, so their trailing bits
+    # are zero.  M = 600 has no FFT block (its block at step 512 is a dense
+    # product); M = 1025 has one, which transforms the real and imaginary parts
+    # apart, so the real problem stays real, and its forcing runs the array
+    # Mittag-Leffler loop on 1025 points.
     end = complex(solve(problem, scheme, GridSpec(T=1.0, M=M), starting=starting).trajectory.values[-1])
     assert (end.real.hex(), end.imag.hex()) == u_M
 
@@ -488,6 +491,40 @@ def test_a_real_problem_stays_real_through_the_fft_blocks(problem, M):
     # data gives no rounding noise in the imaginary part
     values = solve(problem, (3, 3), GridSpec(T=1.0, M=M)).trajectory.values
     assert np.all(values.imag == 0.0)
+
+
+def _other_thread_ticks():
+    """utime + stime of each thread of this process but the main one, by thread id."""
+    ticks = {}
+    for task in Path("/proc/self/task").iterdir():
+        if int(task.name) == os.getpid():
+            continue
+        try:
+            fields = (task / "stat").read_text().rpartition(")")[2].split()
+        except OSError:   # the thread has exited
+            continue
+        ticks[task.name] = int(fields[11]) + int(fields[12])   # fields 14 and 15 of stat
+    return ticks
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+def test_linear_solves_leave_the_blas_pool_idle():
+    # A BLAS that threads a product wakes its worker pool, which can cost
+    # milliseconds against microseconds for the product itself.  The six long
+    # linear solves of the benchmark must run on the calling thread alone.
+    problems = [(mlf_decay(0.5), (3, 3)), (linear_complex(0.5, -1.0), (2, 1))]
+
+    def one_pass():
+        for problem, scheme in problems:
+            for M in (2048, 4096, 8192):
+                solve(problem, scheme, GridSpec(T=1.0, M=M))
+
+    one_pass()
+    before = _other_thread_ticks()
+    for _ in range(5):
+        one_pass()
+    after = _other_thread_ticks()
+    assert sum(v - before.get(tid, 0) for tid, v in after.items()) <= 1
 
 
 @pytest.mark.parametrize("bad", [_B + 3, 2 * _B, _D, 2 * _L + 5, 2 * _L],
