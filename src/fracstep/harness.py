@@ -508,18 +508,15 @@ def read_convergence_csv(fh) -> list:
 
 
 def write_trajectory_csv(report: SolveReport, fh, exact: Optional[Callable] = None) -> None:
-    grid = report.trajectory.grid
-    values = report.trajectory.values
-
-    def row(n):
-        t = grid.node(n)
-        u = values[n]
-        if exact is None:
-            return [n, t, u.real, u.imag, None, None, None]
-        ref = complex(exact(t))
-        return [n, t, u.real, u.imag, ref.real, ref.imag, abs(u - ref)]
-
-    write_csv(fh, _TRAJECTORY_HEADER, (row(n) for n in range(grid.M + 1)))
+    """One row per node; abs_err takes np.abs, the rule of SolveReport.final_error."""
+    ts, u = report.trajectory.grid.times(), report.trajectory.values
+    if exact is None:
+        rows = ([n, t, z.real, z.imag, None, None, None] for n, (t, z) in enumerate(zip(ts, u)))
+    else:
+        ref = np.array([complex(exact(float(t))) for t in ts])
+        rows = ([n, t, z.real, z.imag, r.real, r.imag, e]
+                for n, (t, z, r, e) in enumerate(zip(ts, u, ref, np.abs(u - ref))))
+    write_csv(fh, _TRAJECTORY_HEADER, rows)
 
 
 def read_trajectory_csv(fh) -> list:

@@ -147,7 +147,4 @@ def backward_diff(seq, order: int) -> np.ndarray:
         raise ValueError("backward_diff expects a nonempty 1-d sequence")
     if not np.issubdtype(a.dtype, np.number):
         raise ValueError(f"backward_diff expects numeric entries, got dtype {a.dtype}")
-    out = a.astype(np.result_type(a.dtype, float), copy=True)
-    for _ in range(order):
-        out[1:] = out[1:] - out[:-1]
-    return out
+    return np.diff(a, n=order, prepend=np.zeros(order))

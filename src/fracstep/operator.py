@@ -31,9 +31,6 @@ class GridSpec:
     def times(self) -> np.ndarray:
         return np.arange(self.M + 1) * self.dt
 
-    def node(self, n: int) -> float:
-        return require_count(n, "n", 0, self.M) * self.dt
-
 
 @dataclass(frozen=True)
 class Trajectory:

@@ -6,10 +6,11 @@ import sys
 
 import pytest
 
-from fracstep import boundary_locus
+from fracstep import ALL_SCHEMES, GridSpec, boundary_locus, solve
 from fracstep import cli
 from fracstep.cli import main
-from fracstep.harness import format_complex, read_convergence_csv, read_trajectory_csv
+from fracstep.harness import (format_complex, problem_factory, read_convergence_csv,
+                              read_trajectory_csv)
 
 
 def run_cli(capsys, *argv):
@@ -198,6 +199,33 @@ def test_solve_writes_trajectory(tmp_path, capsys):
     assert len(recs) == 17
     assert recs[0]["u"] == 1.0 + 0.0j
     assert all(rec["abs_err"] is not None for rec in recs)
+
+
+@pytest.mark.parametrize("problem", [{"tag": "linear_complex", "lambda": "-1+0.5i"},
+                                     {"tag": "nonlinear_square", "mu": "i"}],
+                         ids=["linear_complex", "nonlinear_square"])
+def test_solve_and_converge_print_one_endpoint_error(tmp_path, capsys, problem):
+    """The solve CSV's last abs_err, final_error and the converge row agree bit for bit."""
+    schemes, M_list = [[s.k, s.i] for s in ALL_SCHEMES], [33, 257, 1025]
+    cfg = _solve_config(tmp_path, problem=problem, schemes=schemes,
+                        grid={"T": 1.0, "M_list": M_list})
+    rc, out, err = run_cli(capsys, "converge", "--config", str(cfg), "-o", str(tmp_path / "rates.csv"))
+    assert rc == 0
+    with open(tmp_path / "rates.csv") as fh:
+        table = {(r.k, r.i, r.M): r.abs_err for r in read_convergence_csv(fh)}
+    spec = problem_factory(problem)(0.5)
+    mismatches = []
+    for k, i in schemes:
+        for M in M_list:
+            cfg = _solve_config(tmp_path, problem=problem, schemes=[[k, i]], grid={"T": 1.0, "M": M})
+            rc, out, err = run_cli(capsys, "solve", "--config", str(cfg), "-o", str(tmp_path / "traj.csv"))
+            assert rc == 0
+            with open(tmp_path / "traj.csv") as fh:
+                last = read_trajectory_csv(fh)[-1]["abs_err"]
+            final = solve(spec, (k, i), GridSpec(T=1.0, M=M)).final_error
+            if not last == final == table[k, i, M]:
+                mismatches.append((k, i, M, last, final, table[k, i, M]))
+    assert mismatches == []
 
 
 def test_solve_rejects_m_list_config(tmp_path, capsys):

@@ -97,7 +97,7 @@ def test_manufactured_forcing_consistency(problem, per_node):
     for n in (8, 24, 48):
         itp = build_interpolant(SchemeId(3, 3), grid, samples, n)
         lhs = oracle_discrete_caputo(itp, problem.alpha)
-        rhs = full.rhs(grid.node(n), problem.exact(grid.node(n)))
+        rhs = full.rhs(float(grid.times()[n]), problem.exact(float(grid.times()[n])))
         assert abs(lhs - rhs) < 2e-6
 
 

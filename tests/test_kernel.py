@@ -182,6 +182,10 @@ def test_complete_monotonicity_r_gt_q():
 def test_backward_diff_basics():
     assert np.allclose(backward_diff([1.0, 1.0, 1.0], 1), [1.0, 0.0, 0.0])
     assert np.allclose(backward_diff([0.0, 1.0, 4.0, 9.0], 2)[2:], [2.0, 2.0])
+    ints = backward_diff([1, 3, 6], 1)   # an int sequence comes back as float
+    assert ints.dtype == np.float64 and ints.tolist() == [1.0, 2.0, 3.0]
+    assert backward_diff([2.5], 3).tolist() == [2.5]
+    assert backward_diff(np.array([2j]), 2).tolist() == [2j]
     with pytest.raises(ValueError):
         backward_diff([1.0, 2.0], 0)
     with pytest.raises(ValueError):

@@ -20,15 +20,7 @@ from fracstep.operator import compensated_cdot
 def test_gridspec_basics():
     g = GridSpec(T=2.0, M=8)
     assert g.dt == 0.25
-    assert g.node(0) == 0.0
-    assert g.node(8) == 2.0
     assert np.allclose(g.times(), 0.25 * np.arange(9))
-    with pytest.raises(ValueError):
-        g.node(9)
-    with pytest.raises(ValueError):
-        g.node(2.5)
-    with pytest.raises(ValueError):
-        g.node(True)
     with pytest.raises(ValueError):
         GridSpec(T=0.0, M=4)
     with pytest.raises(ValueError):
