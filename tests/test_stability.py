@@ -1,5 +1,6 @@
 """Tests for the boundary locus, membership queries, and series diagnostics."""
 
+import functools
 import math
 import warnings
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyval
 
-from fracstep import ALL_SCHEMES, SchemeId, boundary_locus, in_stability_region, weight_table
+from fracstep import ALL_SCHEMES, SchemeId, boundary_locus, in_stability_region, stability, weight_table
 from fracstep.stability import (
     _DEFAULT_TERMS,
     _locus_samples,
@@ -68,7 +69,7 @@ def test_locus_matches_compensated_direct_sum(scheme, alpha):
 def test_locus_halves_are_conjugate(scheme, S):
     # the folded weights are real, so zeta(2 pi - theta) = conj(zeta(theta)) to the bit,
     # and zeta at theta = 0 and pi is real with an imaginary part of +0.0
-    pts, _ = _locus_samples(scheme.k, scheme.i, 0.5, 2000, S)
+    pts, _, _ = _locus_samples(scheme.k, scheme.i, 0.5, 2000, S)
     m = np.arange(1, (S + 1) // 2)
     assert pts[S - m].tobytes() == np.conj(pts[m]).tobytes()
     assert math.copysign(1.0, pts[0].imag) == 1.0
@@ -87,7 +88,7 @@ def angle_sum_winding(rel):
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 def test_crossing_count_matches_angle_sum(scheme, alpha):
     S = 4096
-    pts, _ = _locus_samples(scheme.k, scheme.i, alpha, _DEFAULT_TERMS, S)
+    pts, _, _ = _locus_samples(scheme.k, scheme.i, alpha, _DEFAULT_TERMS, S)
     rng = np.random.default_rng(1000 * scheme.k + 100 * scheme.i + round(10 * alpha))
     zs = 10.0 ** rng.uniform(-2.0, 2.0, 100) * np.exp(2j * np.pi * rng.uniform(size=100))
     # the ray from a real z runs through the real samples at theta = 0 and pi,
@@ -142,10 +143,87 @@ def test_cached_locus_matches_public_curve(scheme, alpha, z, expected):
     closed = boundary_locus(scheme, alpha, samples=v.samples).points
     assert v.margin == np.abs(closed[:-1] - z).min()
     s = SchemeId(*scheme)
-    _, perimeter = _locus_samples(s.k, s.i, alpha, _DEFAULT_TERMS, v.samples)
+    _, perimeter, _ = _locus_samples(s.k, s.i, alpha, _DEFAULT_TERMS, v.samples)
     segments = np.abs(np.diff(closed))
     assert perimeter == segments[:-1].sum() + segments[-1]
     assert perimeter == pytest.approx(math.fsum(segments), rel=1e-13)
+
+
+def full_evaluation(locus, z, samples=4096):
+    """The membership loop reading every level locus(S) in full: the margin over all samples
+    and the winding from an np.roll pass over every edge.  (verdict, winding, samples, margin)."""
+    S, prev, best = samples, None, math.inf
+    while True:
+        pts, perimeter, _ = locus(S)
+        rel = pts - z
+        margin = float(np.abs(rel).min())
+        best = min(best, margin)
+        if margin < 1e-12:
+            return "boundary", None, S, margin
+        up = rel.imag > 0
+        j = np.flatnonzero(up != np.roll(up, -1))
+        a, b = rel[j], rel[(j + 1) % rel.size]
+        x = a.real - a.imag / (b.imag - a.imag) * (b.real - a.real)
+        w = int(np.where(up[j], -1, 1)[x > 0].sum())
+        confident = margin >= 10.0 * (perimeter / S)
+        if confident and w == prev:
+            return ("inside" if w == 0 else "outside"), w, S, margin
+        prev = w if confident else None
+        if S >= 2 ** 20:
+            return "boundary", None, S, best
+        S *= 2
+
+
+def edge_and_level_points(scheme, alpha, S):
+    """z on the edges of the level-S box (y = max Im, y = min Im, x = max Re) and
+    z level with a sample, where the box rule and the crossing rule meet."""
+    pts, _, (re_min, re_max, im_max) = _locus_samples(scheme.k, scheme.i, alpha, _DEFAULT_TERMS, S)
+    top = pts[np.argmax(pts.imag)]
+    right = pts[np.argmax(pts.real)]
+    xs = (re_min - 1.0, re_min, top.real, 0.5 * (re_min + re_max), re_max, re_max + 1e-3)
+    zs = [complex(x, y) for x in xs for y in (im_max, -im_max)]
+    zs += [complex(re_max, y) for y in (0.0, right.imag, 0.5 * im_max, -0.999 * im_max)]
+    zs += [complex(pts[m].real + d, pts[m].imag) for m in (1, S // 8, S // 3, S - 5) for d in (-0.5, 0.5)]
+    return zs
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_query_equals_full_evaluation(scheme, alpha):
+    # every verdict, winding, sample count and margin bit equals the full read of every level
+    # the oracle keeps its own levels: with the query's it would overrun the 8-level cache
+    locus = functools.cache(lambda S: _locus_samples(scheme.k, scheme.i, alpha, _DEFAULT_TERMS, S))
+    pts = locus(4096)[0]
+    rng = np.random.default_rng(1000 * scheme.k + 100 * scheme.i + round(10 * alpha))
+    zs = list(10.0 ** rng.uniform(-2.0, 2.0, 40) * np.exp(2j * np.pi * rng.uniform(size=40)))
+    near = pts[rng.integers(4096, size=20)]
+    zs += list(near + np.abs(near) * 10.0 ** rng.uniform(-1.5, -1.0, 20) * np.exp(2j * np.pi * rng.uniform(size=20)))
+    zs += edge_and_level_points(scheme, alpha, 4096) + edge_and_level_points(scheme, alpha, 8192)
+    zs += [1e200, -1e200, 1e200j, -1e200j]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in zs:
+            v = in_stability_region(scheme, alpha, z)
+            got = (v.verdict, v.winding, v.samples, v.margin.hex())
+            verdict, w, S, margin = full_evaluation(locus, complex(z))
+            assert got == (verdict, w, S, margin.hex()), z
+
+
+def test_unread_levels_count_in_boundary_margin(monkeypatch):
+    # Synthetic circles about 0: at even powers of two z = 2 clears a box of radius 1.9,
+    # at odd ones it lies inside radius 3.  The winding alternates 0, 1, ... up to 2^20,
+    # so the query ends "boundary" with the least margin, 0.1, from the unread levels.
+    def circles(k, i, alpha, terms, samples):
+        r = 1.9 if samples.bit_length() % 2 else 3.0
+        pts = r * np.exp(2j * np.pi * np.arange(samples) / samples)
+        perimeter = float(np.abs(np.diff(pts)).sum()) + abs(pts[0] - pts[-1])
+        return pts, perimeter, (float(pts.real.min()), float(pts.real.max()), float(np.abs(pts.imag).max()))
+
+    monkeypatch.setattr(stability, "_locus_samples", circles)
+    v = in_stability_region((1, 1), 0.5, 2.0)
+    assert (v.verdict, v.winding, v.samples, v.margin.hex()) == (
+        "boundary", None, 2 ** 20, full_evaluation(lambda S: circles(1, 1, 0.5, 0, S), 2.0)[3].hex())
+    assert v.margin == pytest.approx(0.1, rel=1e-12)
 
 
 def test_origin_short_circuits():
