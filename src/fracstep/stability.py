@@ -132,11 +132,11 @@ def _winding_number(rel: np.ndarray) -> int:
 
 def _box_gap(box, z: complex) -> Optional[float]:
     """Distance from z to the samples' bounding box when no edge can cross z's ray,
-    else None.  Level with no sample (y >= max Im, y < min Im) no edge changes side;
-    right of every sample (x >= max Re) every intercept rounds to <= 0.  Either way
-    the winding is exactly 0.  Each sample's |Re|, |Im| relative to z rounds to no
-    less than the box's dx, dy, so its margin is at least the returned distance to
-    within _BOX_SLACK."""
+    else None.  With z level with no sample (y >= max Im or y < min Im) no edge
+    changes side of the ray's line, and with z right of every sample (x >= max Re)
+    every intercept rounds to <= 0: either way the winding is exactly 0.  Each
+    sample's |Re| and |Im| relative to z round to no less than the box's dx and dy,
+    so its margin is at least the returned distance to within _BOX_SLACK."""
     re_min, re_max, im_max = box
     if not (z.imag >= im_max or z.imag < -im_max or z.real >= re_max):
         return None
