@@ -92,18 +92,41 @@ def _locus_samples(k: int, i: int, alpha: float, terms: int, samples: int):
     one real FFT of the coefficients folded modulo S, reversed mod S, gives
     m <= S/2, and zeta(-theta) = conj(zeta(theta)) the rest, so the box is read
     off that half.  This is the only evaluation of the locus series.
+
+    A build keeps the 16 S bytes of the samples.  On the way it allocates the
+    half spectrum (8 S bytes) and then the edge vectors of the perimeter
+    (16 S bytes), a peak of 40 S bytes.  The folded coefficients are written
+    into the samples' memory, which the FFT has read before the samples fill
+    it, and the edge lengths into the half spectrum's once the samples hold it,
+    so neither takes fresh memory.  When S < terms + 1 the fold also allocates
+    the zero-padded coefficients and their S sums.
     """
     omega = weight_table(SchemeId(k, i), alpha, terms).omega
-    pad = (-omega.size) % samples
-    folded = np.concatenate([omega, np.zeros(pad)]).reshape(-1, samples).sum(axis=0)
-    half = np.fft.rfft(np.concatenate([folded[:1], folded[:0:-1]]))
     pts = np.empty(samples, dtype=complex)
+    half = np.fft.rfft(_fold_reversed(omega, pts.view(float)[:samples]))
     pts[: half.size] = half
     np.conjugate(half[samples - half.size : 0 : -1], out=pts[half.size :])
     pts.flags.writeable = False
-    perimeter = float(np.abs(np.diff(pts)).sum()) + abs(pts[0] - pts[-1])
-    box = (float(half.real.min()), float(half.real.max()), float(np.abs(half.imag).max()))
+    im = half.imag
+    box = (float(half.real.min()), float(half.real.max()), max(float(im.max()), -float(im.min())) + 0.0)
+    lengths = np.abs(pts[1:] - pts[:-1], out=half.view(float)[: samples - 1])
+    perimeter = float(lengths.sum()) + abs(pts[0] - pts[-1])
     return pts, perimeter, box
+
+
+def _fold_reversed(omega: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write f_{-m mod S} into out (S = out.size), where f_m = sum of omega_n over n = m mod S,
+    and return out.  Each f_m is a sum with a +0.0 in it, so a -0.0 coefficient folds to +0.0."""
+    S, n = out.size, omega.size
+    if S < n:
+        folded = np.concatenate([omega, np.zeros(-n % S)]).reshape(-1, S).sum(axis=0)
+        out[0] = folded[0]
+        out[1:] = folded[:0:-1]
+    else:
+        out[0] = omega[0] + 0.0
+        out[1 : S - n + 1] = 0.0
+        np.add(omega[:0:-1], 0.0, out=out[S - n + 1 :])
+    return out
 
 
 def _check_terms_samples(terms, samples, max_samples=None):

@@ -2,6 +2,8 @@
 
 import functools
 import math
+import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -75,6 +77,87 @@ def test_locus_halves_are_conjugate(scheme, S):
     assert math.copysign(1.0, pts[0].imag) == 1.0
     if S % 2 == 0:
         assert math.copysign(1.0, pts[S // 2].imag) == 1.0
+
+
+def reference_fold(omega, S):
+    """The coefficients folded modulo S and reversed mod S, built from whole-array copies."""
+    folded = np.concatenate([omega, np.zeros((-omega.size) % S)]).reshape(-1, S).sum(axis=0)
+    return np.concatenate([folded[:1], folded[:0:-1]])
+
+
+def reference_locus(omega, S):
+    """(samples, perimeter, box) built from whole-array temporaries, one per step."""
+    half = np.fft.rfft(reference_fold(omega, S))
+    pts = np.empty(S, dtype=complex)
+    pts[: half.size] = half
+    pts[half.size :] = np.conj(half[S - half.size : 0 : -1])
+    perimeter = float(np.abs(np.diff(pts)).sum()) + abs(pts[0] - pts[-1])
+    box = (float(half.real.min()), float(half.real.max()), float(np.abs(half.imag).max()))
+    return pts, perimeter, box
+
+
+def assert_build_is_reference(omega, k, i, terms, S):
+    pts, perimeter, box = _locus_samples.__wrapped__(k, i, 0.5, terms, S)
+    ref_pts, ref_perimeter, ref_box = reference_locus(omega, S)
+    assert pts.tobytes() == ref_pts.tobytes(), S
+    assert perimeter.hex() == ref_perimeter.hex(), S
+    assert [b.hex() for b in box] == [b.hex() for b in ref_box], S
+
+
+@pytest.mark.parametrize("terms", [2000, 6000])
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_locus_build_matches_reference(scheme, terms):
+    # the build that reuses its buffers returns the bytes of the one that copies
+    omega = weight_table(scheme, 0.5, terms).omega
+    for S in (16, 63, 64, 4096, terms + 1, terms + 2, 8192, 2 ** 17):
+        assert_build_is_reference(omega, scheme.k, scheme.i, terms, S)
+
+
+@pytest.mark.parametrize("S", [4, 7, 8, 9, 16])
+def test_fold_turns_negative_zero_positive(S):
+    omega = np.array([-0.0, 1.5, -0.0, -2.0, 0.25, -0.0, 3.0, -0.0])
+    got = stability._fold_reversed(omega, np.full(S, np.nan))
+    assert got.tobytes() == reference_fold(omega, S).tobytes()
+    assert not np.signbit(got[got == 0.0]).any()
+
+
+@pytest.mark.parametrize("omega", [[1.0], [-0.0, 2.0, -0.0], [3.0, -0.0, 0.0, -1.0] * 5])
+def test_locus_build_keeps_signed_zeros_of_reference(monkeypatch, omega):
+    # coefficients with -0.0 entries, and loci whose imaginary parts are all zeros of either sign
+    omega = np.array(omega)
+    monkeypatch.setattr(stability, "weight_table", lambda scheme, alpha, terms: types.SimpleNamespace(omega=omega))
+    for S in (16, 17, 20, 21, 64):
+        assert_build_is_reference(omega, 1, 1, omega.size - 1, S)
+
+
+def test_locus_box_of_signed_zero_imaginary_parts(monkeypatch):
+    # a half spectrum with Im +0.0 at m = 0 and -0.0 elsewhere still has max |Im| = +0.0
+    rfft = np.fft.rfft
+
+    def real_rfft(x):
+        half = rfft(x).real + 0j
+        half.imag[1:] = -0.0
+        return half
+
+    monkeypatch.setattr(np.fft, "rfft", real_rfft)
+    omega = weight_table((2, 2), 0.5, 100).omega
+    for S in (16, 17, 64):
+        assert_build_is_reference(omega, 2, 2, 100, S)
+
+
+def test_locus_build_peak_memory():
+    # a cold build holds its samples (16 S bytes), the half spectrum and one edge-vector array
+    S = 2 ** 17
+    weight_table((2, 2), 0.5, _DEFAULT_TERMS)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _locus_samples.__wrapped__(2, 2, 0.5, _DEFAULT_TERMS, S)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * 16 * S
 
 
 def angle_sum_winding(rel):
